@@ -6,24 +6,21 @@
 //! This bench isolates it by running one rank's plan over a [`SinkComm`]
 //! (a transport that costs as close to nothing as the `Comm` contract
 //! allows: no threads, no sockets, no hygiene bookkeeping — receives
-//! complete instantly with zeroed payloads) and timing three paths per
+//! complete instantly with zeroed payloads) and timing two paths per
 //! message size:
 //!
-//! * **cold** — lower + compile + execute per call: the cache-miss cost.
-//! * **interp** — lower + interpret per call: the pre-cache execution
-//!   path (`execute_schedule` on a fresh lowering), kept here as the
-//!   baseline the refactor is measured against.
-//! * **cached** — plan-cache hit + compiled executor with persistent
-//!   arenas: the steady-state hot path every dispatch site now takes.
+//! * **cold** — lower + compile + execute per call: the cache-miss cost,
+//!   i.e. dispatch without the plan cache.
+//! * **cached** — plan-cache hit + executor with persistent arenas: the
+//!   steady-state hot path every dispatch site takes.
 //!
 //! The acceptance bar (asserted, not just reported): at α-bound sizes
-//! (≤ 256 B) the cached path must cost at most half of the pre-refactor
-//! interpreter path per call. Raw numbers land in `results/hotpath.json`.
+//! (≤ 256 B) the cached path must cost at most half of the cold path per
+//! call. Raw numbers land in `results/hotpath.json`.
 
 use exacoll_comm::{Comm, CommError, CommResult, Rank, Req, SgView, Tag};
 use exacoll_core::plan_cache::{PlanCache, PlanKey};
 use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
-use exacoll_core::schedule::engine::execute_schedule;
 use exacoll_core::schedule::{compile, Executor};
 use exacoll_json::Value;
 use exacoll_osu::sweep::fmt_size;
@@ -124,12 +121,12 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let mut t = Table::new(
         format!("dispatch overhead, allreduce/recmult(2) p={p} rank {rank} (ns per call)"),
-        &["size", "cold", "interp", "cached", "cached speedup"],
+        &["size", "cold", "cached", "cached speedup"],
     );
     let mut rows = Vec::new();
     for &n in SIZES {
         let input = vec![1u8; n];
-        // Fewer iterations at sizes where the engine's own copies dominate.
+        // Fewer iterations at sizes where the executor's own copies dominate.
         let iters = if n > 1024 { iters / 4 } else { iters };
 
         let mut c = SinkComm::new(rank, p);
@@ -140,11 +137,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             Executor::new()
                 .run(&mut c, &plan, &input)
                 .expect("cold run");
-        });
-        let interp = per_call_ns(iters, || {
-            let plan = lower(&args, p, rank, n);
-            c.reset();
-            execute_schedule(&mut c, &plan, &input).expect("interp run");
         });
         // Steady state: a resident cache entry and an executor whose
         // request/destination arenas persist across calls — exactly what a
@@ -158,29 +150,27 @@ pub fn run(quick: bool) -> Vec<Table> {
             exec.run(&mut c, &plan, &input).expect("cached run");
         });
 
-        let speedup = interp / cached;
+        let speedup = cold / cached;
         if n <= ALPHA_BOUND {
             assert!(
                 speedup >= 2.0,
-                "{}: cached path must be >=2x cheaper than the pre-refactor \
-                 interpreter at alpha-bound sizes, got {speedup:.2}x \
-                 (interp {interp:.0} ns, cached {cached:.0} ns)",
+                "{}: cached path must be >=2x cheaper than cold dispatch \
+                 (lower + compile + execute) at alpha-bound sizes, got \
+                 {speedup:.2}x (cold {cold:.0} ns, cached {cached:.0} ns)",
                 fmt_size(n)
             );
         }
         t.row(vec![
             fmt_size(n),
             format!("{cold:.0}"),
-            format!("{interp:.0}"),
             format!("{cached:.0}"),
             format!("{speedup:.2}x"),
         ]);
         rows.push(Value::obj(vec![
             ("bytes", Value::Num(n as f64)),
             ("cold_ns_per_call", Value::Num(cold)),
-            ("interp_ns_per_call", Value::Num(interp)),
             ("cached_ns_per_call", Value::Num(cached)),
-            ("cached_speedup_vs_interp", Value::Num(speedup)),
+            ("cached_speedup_vs_cold", Value::Num(speedup)),
         ]));
     }
     if std::fs::create_dir_all("results").is_ok() {

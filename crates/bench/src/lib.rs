@@ -20,7 +20,7 @@
 //! | `residuals`| per-round measured-vs-model deltas from recorded timelines  |
 //! | `backends` | thread vs tcp transport latency for allreduce recmult       |
 //! | `opt_passes` | modeled cost deltas of the verified optimizer passes      |
-//! | `hotpath`  | per-call dispatch overhead: cold vs interpreter vs cached   |
+//! | `hotpath`  | per-call dispatch overhead: cold vs cached                  |
 //! | `micro`    | criterion micro-benchmarks of the library itself            |
 
 pub mod ablation;

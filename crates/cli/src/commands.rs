@@ -1,11 +1,14 @@
 //! Subcommand implementations.
 
 use crate::args::{parse_alg, parse_backend, parse_size, Args, Backend};
+use exacoll_comm::CommResult;
 use exacoll_core::reference::{expected_outputs, expected_outputs_v};
 use exacoll_core::registry::{
     candidates, lower, lower_v, supports_v, table_i, unique_candidates, unique_candidates_v,
 };
-use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
+use exacoll_core::schedule::verify::{verify, verify_tenants, ScheduleStats, TenantPlans};
+use exacoll_core::schedule::world::{evaluate, probe_inputs};
+use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::{
     parse_opt_spec, variant_to_spec, CountsSpec, OptSpec, Variant, OPT_AGGREGATE_MAX_FUSE_BYTES,
     OPT_PIPELINE_CHUNK_BYTES,
@@ -803,6 +806,35 @@ fn split_topo(p: usize) -> TopoDesc {
     }
 }
 
+/// One row of the `verify` table: label, algorithm, and the verifier's
+/// α/β/γ counts.
+fn stats_row(label: String, alg: impl std::fmt::Display, stats: &ScheduleStats) -> Vec<String> {
+    vec![
+        label,
+        alg.to_string(),
+        stats.alpha_rounds.to_string(),
+        stats.beta_bytes.to_string(),
+        stats.gamma_bytes.to_string(),
+    ]
+}
+
+/// Evaluate `plans` in the world on probe inputs and compare with the
+/// sequential `reference`; any disagreement becomes a failure for `what`.
+fn check_reference(
+    what: &str,
+    plans: &[Schedule],
+    failures: &mut Vec<String>,
+    reference: impl FnOnce(&[Vec<u8>]) -> CommResult<Vec<Vec<u8>>>,
+) {
+    let inputs = probe_inputs(plans);
+    match (evaluate(plans, &inputs), reference(&inputs)) {
+        (Ok(out), Ok(expect)) if out == expect => {}
+        (Ok(_), Ok(_)) => failures.push(format!("{what}: outputs differ from reference")),
+        (Err(e), _) => failures.push(format!("{what}: evaluation: {e}")),
+        (_, Err(e)) => failures.push(format!("{what}: reference: {e}")),
+    }
+}
+
 /// Statically verify every registry candidate's lowered schedule: per-rank
 /// plans must be deadlock-free, tag-hygienic, and cover every output byte.
 /// Every optimizer pass is then applied to every candidate and the result
@@ -855,15 +887,9 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
             let plans: Vec<_> = (0..p).map(|r| lower(&cargs, p, r, n_op)).collect();
             match verify(&plans) {
                 Ok(stats) => {
-                    t.row(vec![
-                        op.to_string(),
-                        alg.to_string(),
-                        stats.alpha_rounds.to_string(),
-                        stats.beta_bytes.to_string(),
-                        stats.gamma_bytes.to_string(),
-                    ]);
-                    let inputs = exacoll_opt::probe_inputs(&plans);
-                    let reference = match exacoll_opt::evaluate(&plans, &inputs) {
+                    t.row(stats_row(op.to_string(), alg, &stats));
+                    let inputs = probe_inputs(&plans);
+                    let reference = match evaluate(&plans, &inputs) {
                         Ok(r) => Some(r),
                         Err(e) => {
                             failures.push(format!("{op} / {alg}: baseline evaluation: {e}"));
@@ -888,7 +914,7 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                             continue;
                         }
                         if let Some(reference) = &reference {
-                            match exacoll_opt::evaluate(&rewritten, &inputs) {
+                            match evaluate(&rewritten, &inputs) {
                                 Ok(out) if &out == reference => {}
                                 Ok(_) => failures.push(format!(
                                     "{op} / {alg} after {pass}: outputs differ from reference"
@@ -943,28 +969,13 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
                 let label = format!("{op}v [{fmt_counts}]");
                 match verify(&plans) {
                     Ok(stats) => {
-                        t.row(vec![
-                            label.clone(),
-                            alg.to_string(),
-                            stats.alpha_rounds.to_string(),
-                            stats.beta_bytes.to_string(),
-                            stats.gamma_bytes.to_string(),
-                        ]);
-                        let inputs = exacoll_opt::probe_inputs(&plans);
-                        let expect =
-                            expected_outputs_v(op, cargs.dtype, cargs.rop, counts, &inputs)
-                                .map_err(|e| e.to_string());
-                        match (exacoll_opt::evaluate(&plans, &inputs), expect) {
-                            (Ok(out), Ok(expect)) if out == expect => {}
-                            (Ok(_), Ok(_)) => failures
-                                .push(format!("{label} / {alg}: outputs differ from v-reference")),
-                            (Err(e), _) => {
-                                failures.push(format!("{label} / {alg}: evaluation: {e}"))
-                            }
-                            (_, Err(e)) => {
-                                failures.push(format!("{label} / {alg}: v-reference: {e}"))
-                            }
-                        }
+                        t.row(stats_row(label.clone(), alg, &stats));
+                        check_reference(
+                            &format!("{label} / {alg}"),
+                            &plans,
+                            &mut failures,
+                            |ins| expected_outputs_v(op, cargs.dtype, cargs.rop, counts, ins),
+                        );
                     }
                     Err(e) => failures.push(format!("{label} / {alg}: {e}")),
                 }
@@ -983,25 +994,10 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
         let label = format!("allreduce p={pg}");
         match verify(&plans) {
             Ok(stats) => {
-                t.row(vec![
-                    label.clone(),
-                    alg.to_string(),
-                    stats.alpha_rounds.to_string(),
-                    stats.beta_bytes.to_string(),
-                    stats.gamma_bytes.to_string(),
-                ]);
-                let inputs = exacoll_opt::probe_inputs(&plans);
-                let expect =
-                    expected_outputs(cargs.op, cargs.root, cargs.dtype, cargs.rop, &inputs)
-                        .map_err(|e| e.to_string());
-                match (exacoll_opt::evaluate(&plans, &inputs), expect) {
-                    (Ok(out), Ok(expect)) if out == expect => {}
-                    (Ok(_), Ok(_)) => {
-                        failures.push(format!("{label} / {alg}: outputs differ from reference"))
-                    }
-                    (Err(e), _) => failures.push(format!("{label} / {alg}: evaluation: {e}")),
-                    (_, Err(e)) => failures.push(format!("{label} / {alg}: reference: {e}")),
-                }
+                t.row(stats_row(label.clone(), alg, &stats));
+                check_reference(&format!("{label} / {alg}"), &plans, &mut failures, |ins| {
+                    expected_outputs(cargs.op, cargs.root, cargs.dtype, cargs.rop, ins)
+                });
             }
             Err(e) => failures.push(format!("{label} / {alg}: {e}")),
         }
@@ -1045,13 +1041,11 @@ fn verify_schedules(args: &Args) -> Result<(), String> {
             .collect();
         match verify(&merged) {
             Ok(stats) => {
-                t.row(vec![
+                t.row(stats_row(
                     "2 tenants (merged)".into(),
-                    "ring + recmult:2".into(),
-                    stats.alpha_rounds.to_string(),
-                    stats.beta_bytes.to_string(),
-                    stats.gamma_bytes.to_string(),
-                ]);
+                    "ring + recmult:2",
+                    &stats,
+                ));
             }
             Err(e) => failures.push(format!("tenancy: merged plan set: {e}")),
         }

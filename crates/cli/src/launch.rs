@@ -30,7 +30,7 @@ use exacoll_core::plan_cache::{PlanCache, PlanKey};
 use exacoll_core::reference::{expected_outputs, expected_outputs_v};
 use exacoll_core::registry::{lower, lower_v, supports_v};
 use exacoll_core::schedule::verify::{verify, verify_tenants, TenantPlans};
-use exacoll_core::schedule::{compile, execute_compiled, Schedule};
+use exacoll_core::schedule::{compile, Executor, Schedule};
 use exacoll_core::spec::{opt_to_spec, variant_to_spec, CountsSpec, OptSpec, Variant};
 use exacoll_core::tenant::MAX_TENANTS;
 use exacoll_core::{
@@ -306,7 +306,7 @@ fn worker(spec: &LaunchSpec) -> Result<(), String> {
     let record_to = std::env::var("EXACOLL_RECORD").ok();
     let (result, timeline, events) = {
         let mut rc = RecordComm::new(TimedComm::new(&mut c));
-        let result = execute_compiled(&mut rc, &plan, &input);
+        let result = Executor::new().run(&mut rc, &plan, &input);
         let (tc, events) = rc.into_parts();
         let (_, timeline) = tc.into_parts();
         (result, timeline, events)
@@ -423,7 +423,9 @@ fn worker_irregular(
     let (result, timeline) = {
         let mut tc = TimedComm::new(&mut *c);
         let result = match &compiled {
-            Some(plan) => execute_compiled(&mut tc, plan, &inputs[0]).map(|o| vec![o]),
+            Some(plan) => Executor::new()
+                .run(&mut tc, plan, &inputs[0])
+                .map(|o| vec![o]),
             None => run_tenants(&mut tc, &my_plans, &inputs),
         };
         let (_, timeline) = tc.into_parts();

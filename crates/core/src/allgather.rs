@@ -6,24 +6,22 @@
 //! remainders). Output is always the concatenation of all blocks in rank
 //! order.
 //!
-//! * [`allgather_ring`] — classic neighbor ring (§V-A): `p-1` rounds, each
-//!   rank forwarding the block it received in the previous round.
-//! * [`allgather_kring`] — the generalized k-ring (§V-C, Fig. 6): `p/k`
-//!   groups of `k`; `g(k-1)` intra-group rounds interleaved with `g-1`
-//!   inter-group rounds, so most traffic stays on the fast intranode fabric
-//!   when `k` equals the processes-per-node.
-//! * [`allgather_kring_general`] — the k-ring for **non-uniform group
-//!   sizes** (`k ∤ p`), the corner case §VI-A singles out as the largest
-//!   implementation burden. Blocks travel in residue-class bundles (see
-//!   [`build_allgather_kring_general`]).
-//! * [`allgather_recmult`] — recursive multiplying (§IV): one exchange round
-//!   per factor of `p` (each factor ≤ `k`); `k = 2` is recursive doubling
-//!   (Fig. 3), Fig. 4 is `p = 9, k = 3`. Non-`k`-smooth process counts fold
-//!   remainder ranks onto partners before the rounds and unfold after.
-//! * [`allgather_bruck`] — Bruck's algorithm (cited baseline), uniform
-//!   blocks only.
-//! * Gather + broadcast over k-nomial trees (Table I's k-nomial allgather)
-//!   via [`allgather_kernel`] with [`AllgatherKernel::GatherBcast`].
+//! * ring — classic neighbor ring (§V-A): `p-1` rounds, each rank
+//!   forwarding the block it received in the previous round.
+//! * k-ring — the generalized k-ring (§V-C, Fig. 6): `p/k` groups of `k`;
+//!   `g(k-1)` intra-group rounds interleaved with `g-1` inter-group rounds,
+//!   so most traffic stays on the fast intranode fabric when `k` equals the
+//!   processes-per-node.
+//! * k-ring for **non-uniform group sizes** (`k ∤ p`), the corner case
+//!   §VI-A singles out as the largest implementation burden. Blocks travel
+//!   in residue-class bundles (see `build_allgather_kring_general`).
+//! * recursive multiplying (§IV): one exchange round per factor of `p`
+//!   (each factor ≤ `k`); `k = 2` is recursive doubling (Fig. 3), Fig. 4 is
+//!   `p = 9, k = 3`. Non-`k`-smooth process counts fold remainder ranks
+//!   onto partners before the rounds and unfold after.
+//! * Bruck's algorithm (cited baseline), uniform blocks only.
+//! * Gather + broadcast over k-nomial trees (Table I's k-nomial allgather),
+//!   [`AllgatherKernel::GatherBcast`].
 //!
 //! Every kernel is a schedule *builder* returning the `p` per-block buffer
 //! views in rank order; received blocks are *rebound* to freshly allocated
@@ -33,11 +31,10 @@
 
 use crate::bcast::build_bcast_knomial;
 use crate::gather::build_gather_knomial;
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::{factorize, largest_smooth_leq};
 use crate::util::{block_range, pmod, prefix_offsets};
-use exacoll_comm::{Comm, CommResult};
 
 /// Which allgather kernel to run (also selects the second phase of
 /// scatter-allgather broadcast).
@@ -95,66 +92,14 @@ pub(crate) fn build_allgather_kernel(
     }
 }
 
-/// Run the chosen allgather kernel. `input` is this rank's block
-/// (`sizes[rank]` bytes); returns all blocks concatenated in rank order.
-pub fn allgather_kernel<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    debug_assert_eq!(sizes.len(), c.size());
-    debug_assert_eq!(input.len(), sizes[c.rank()]);
-    run_blocks(c, c.rank(), input, sizes, |b, own| {
-        build_allgather_kernel(b, kernel, own, sizes)
-    })
-}
-
 fn uniform_size(sizes: &[usize]) -> Option<usize> {
     let n = sizes[0];
     sizes.iter().all(|&s| s == n).then_some(n)
 }
 
-/// Shared wrapper: alloc this rank's block (`sizes[own_idx]` bytes), lower
-/// with `build`, and execute. `input` fills a prefix of the block, matching
-/// the zero-padded buffers the hand-written loops used.
-fn run_blocks<C: Comm>(
-    c: &mut C,
-    own_idx: usize,
-    input: &[u8],
-    sizes: &[usize],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> Vec<SgList>,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(sizes[own_idx]);
-    let blocks = build(&mut b, own.clone());
-    let out = SgList::concat(&blocks);
-    let schedule = b.finish(own.slice(0, input.len()), out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Classic ring allgather, with this rank contributing block `rank`.
-pub fn allgather_ring<C: Comm>(c: &mut C, input: &[u8], sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    allgather_ring_from(c, me, input, sizes)
-}
-
-/// Ring allgather where this rank *starts* owning block `own_idx` (a cyclic
-/// shift of the identity assignment). The allreduce path uses this with the
-/// block ownership the ring reduce-scatter leaves behind.
-pub fn allgather_ring_from<C: Comm>(
-    c: &mut C,
-    own_idx: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    run_blocks(c, own_idx, input, sizes, |b, own| {
-        build_allgather_ring_from(b, own_idx, own, sizes)
-    })
-}
-
 /// Lower the ring allgather into `b`, starting from ownership of block
-/// `own_idx`.
+/// `own_idx` (a cyclic shift of the identity assignment — the block
+/// ownership the ring reduce-scatter leaves behind).
 pub(crate) fn build_allgather_ring_from(
     b: &mut ScheduleBuilder,
     own_idx: usize,
@@ -188,24 +133,12 @@ pub(crate) fn build_allgather_ring_from(
     blocks
 }
 
-/// Generalized k-ring allgather (Fig. 6). Requires `k >= 1` and `k | p`.
+/// Lower the generalized k-ring allgather (Fig. 6) into `b`. Requires
+/// `k >= 1` and `k | p`.
 ///
 /// Ranks are grouped contiguously (`group = rank / k`), matching the
 /// node-contiguous rank placement of `Machine`, so with `k` equal to the
 /// processes-per-node the intra rounds ride the intranode fabric.
-pub fn allgather_kring<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_kring(b, k, own, sizes)
-    })
-}
-
-/// Lower the uniform-group k-ring into `b`.
 pub(crate) fn build_allgather_kring(
     b: &mut ScheduleBuilder,
     k: usize,
@@ -293,20 +226,8 @@ fn group_of(p: usize, g: usize, rank: usize) -> usize {
     }
 }
 
-/// The k-ring allgather generalized to arbitrary `p` and `1 <= k <= p`.
-pub fn allgather_kring_general<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_kring_general(b, k, own, sizes)
-    })
-}
-
-/// Lower the non-uniform-group k-ring into `b`.
+/// Lower the k-ring allgather generalized to arbitrary `p` and
+/// `1 <= k <= p` into `b`.
 ///
 /// Ranks are split into `g = ceil(p / k)` contiguous near-equal groups
 /// (sizes differ by at most one, [`block_range`] on rank space). The round
@@ -326,7 +247,7 @@ pub fn allgather_kring_general<C: Comm>(
 /// With `k | p` every bundle is a single block and this reduces to the
 /// paper's schedule round-for-round (tested).
 ///
-/// The inter round emits its sends *before* its receive: the engine's
+/// The inter round emits its sends *before* its receive: the executor's
 /// forwarding-hazard flush fires at the first send (the bundles read data
 /// received last phase), and if the receive were already pending that flush
 /// would wait on it before any peer had posted the matching send — a cyclic
@@ -427,22 +348,10 @@ pub(crate) fn build_allgather_kring_general(
     blocks
 }
 
-/// Recursive multiplying allgather (radix `k`). Any process count: `k`-smooth
-/// counts run the pure mixed-radix rounds; others fold the trailing
-/// `p - q` ranks onto partners first (`q` = largest `k`-smooth ≤ `p`).
-pub fn allgather_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    sizes: &[usize],
-) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_recmult(b, k, own, sizes)
-    })
-}
-
-/// Lower recursive multiplying into `b`.
+/// Lower recursive multiplying allgather (radix `k`) into `b`. Any process
+/// count: `k`-smooth counts run the pure mixed-radix rounds; others fold the
+/// trailing `p - q` ranks onto partners first (`q` = largest `k`-smooth
+/// ≤ `p`).
 pub(crate) fn build_allgather_recmult(
     b: &mut ScheduleBuilder,
     k: usize,
@@ -543,16 +452,8 @@ fn build_recmult_core(
     blocks
 }
 
-/// Bruck's allgather: `ceil(log2 p)` rounds with rotated block indexing.
-/// Uniform block sizes only (as in MPICH).
-pub fn allgather_bruck<C: Comm>(c: &mut C, input: &[u8], sizes: &[usize]) -> CommResult<Vec<u8>> {
-    let me = c.rank();
-    run_blocks(c, me, input, sizes, |b, own| {
-        build_allgather_bruck(b, own, sizes)
-    })
-}
-
-/// Lower Bruck's allgather into `b`.
+/// Lower Bruck's allgather into `b`: `ceil(log2 p)` rounds with rotated
+/// block indexing. Uniform block sizes only (as in MPICH).
 pub(crate) fn build_allgather_bruck(
     b: &mut ScheduleBuilder,
     own: SgList,
@@ -601,7 +502,8 @@ pub(crate) fn build_allgather_bruck(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{Algorithm, CollArgs, CollectiveOp};
+    use crate::testkit::{live, live_v, world};
 
     fn rank_block(rank: usize, n: usize) -> Vec<u8> {
         (0..n).map(|i| (rank * 41 + i * 3 + 1) as u8).collect()
@@ -611,27 +513,31 @@ mod tests {
         (0..p).flat_map(|r| rank_block(r, n)).collect()
     }
 
+    /// The registry algorithm whose allgather lowering is `kernel`.
+    fn args_of(kernel: AllgatherKernel) -> CollArgs {
+        let alg = match kernel {
+            AllgatherKernel::Ring => Algorithm::Ring,
+            AllgatherKernel::KRing { k } => Algorithm::KRing { k },
+            AllgatherKernel::RecursiveMultiplying { k } => Algorithm::RecursiveMultiplying { k },
+            AllgatherKernel::Bruck => Algorithm::Bruck,
+            AllgatherKernel::GatherBcast { k } => Algorithm::KnomialTree { k },
+        };
+        CollArgs::new(CollectiveOp::Allgather, alg)
+    }
+
     fn check_uniform(kernel: AllgatherKernel, p: usize, n: usize) {
-        let sizes = vec![n; p];
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_block(r, n)).collect();
         let expect = uniform_expect(p, n);
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), n);
-            allgather_kernel(c, kernel, &mine, &sizes)
-        });
-        for (r, o) in out.iter().enumerate() {
+        for (r, o) in live(&args_of(kernel), &inputs).iter().enumerate() {
             assert_eq!(o, &expect, "{kernel:?} p={p} n={n} rank={r}");
         }
     }
 
     fn check_ragged(kernel: AllgatherKernel, sizes: &[usize]) {
         let p = sizes.len();
-        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, sizes[r])).collect();
-        let sizes_owned = sizes.to_vec();
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), sizes_owned[c.rank()]);
-            allgather_kernel(c, kernel, &mine, &sizes_owned)
-        });
-        for (r, o) in out.iter().enumerate() {
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_block(r, sizes[r])).collect();
+        let expect: Vec<u8> = inputs.concat();
+        for (r, o) in live_v(&args_of(kernel), sizes, &inputs).iter().enumerate() {
             assert_eq!(o, &expect, "{kernel:?} sizes={sizes:?} rank={r}");
         }
     }
@@ -655,12 +561,14 @@ mod tests {
         let p = 6;
         let n = 5;
         let sizes = vec![n; p];
-        let expect = uniform_expect(p, n);
-        let out = run_ranks(p, |c| {
-            let own = (c.rank() + 1) % p;
-            let mine = rank_block(own, n);
-            allgather_ring_from(c, own, &mine, &sizes)
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_block((r + 1) % p, n)).collect();
+        let out = world(&inputs, |r| {
+            let mut b = ScheduleBuilder::new(p, r);
+            let own = b.alloc(n);
+            let blocks = build_allgather_ring_from(&mut b, (r + 1) % p, own.clone(), &sizes);
+            b.finish(own, SgList::concat(&blocks))
         });
+        let expect = uniform_expect(p, n);
         assert!(out.iter().all(|o| o == &expect));
     }
 
@@ -703,10 +611,9 @@ mod tests {
     fn uniform_kring_rejects_nondivisible() {
         // The uniform fast path insists on k | p; the dispatcher routes
         // non-divisible configurations to the general variant instead.
-        exacoll_comm::record_traces(8, |c| {
-            let mine = rank_block(c.rank(), 4);
-            allgather_kring(c, 3, &mine, &[4; 8]).map(|_| ())
-        });
+        let mut b = ScheduleBuilder::new(8, 0);
+        let own = b.alloc(4);
+        build_allgather_kring(&mut b, 3, own, &[4; 8]);
     }
 
     #[test]
@@ -790,24 +697,27 @@ mod tests {
 #[cfg(test)]
 mod kring_general_tests {
     use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::testkit::world;
 
     fn rank_block(rank: usize, n: usize) -> Vec<u8> {
         (0..n).map(|i| (rank * 37 + i + 1) as u8).collect()
     }
 
+    /// The general variant built directly — the registry would route
+    /// `k | p` to the uniform k-ring instead.
     fn check(p: usize, k: usize, sizes: &[usize]) {
-        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, sizes[r])).collect();
-        let sizes_owned = sizes.to_vec();
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), sizes_owned[c.rank()]);
-            allgather_kring_general(c, k, &mine, &sizes_owned)
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_block(r, sizes[r])).collect();
+        let out = world(&inputs, |r| {
+            let mut b = ScheduleBuilder::new(p, r);
+            let own = b.alloc(sizes[r]);
+            let blocks = build_allgather_kring_general(&mut b, k, own.clone(), sizes);
+            b.finish(own, SgList::concat(&blocks))
         });
+        let expect = inputs.concat();
         for (r, o) in out.iter().enumerate() {
             assert_eq!(o, &expect, "p={p} k={k} rank={r}");
         }
     }
-
     #[test]
     fn group_of_is_blockrange_inverse() {
         for p in [5usize, 7, 12, 13, 100] {

@@ -1,36 +1,42 @@
 //! Allreduce algorithms.
 //!
-//! * [`allreduce_recmult`] — recursive multiplying (§IV): `log_k p` rounds;
-//!   each round every rank exchanges its running vector with `k-1` partners
-//!   and folds. The paper's headline recursive-multiplying collective
-//!   (Fig. 8b, Fig. 9d, Fig. 10c); `k = 2` is MPICH's recursive doubling.
-//!   Non-`k`-smooth process counts fold remainder ranks first (the
-//!   "non-uniform group" corner case of §VI-A).
-//! * [`allreduce_rsag`] — ring reduce-scatter followed by an allgather
-//!   kernel. With [`AllgatherKernel::Ring`] this is the classic bandwidth-
-//!   optimal ring allreduce; with [`AllgatherKernel::KRing`] it is the
-//!   paper's k-ring allreduce ("the reduce-scatter-allgather algorithm,
-//!   which can also leverage the MPI_Allgather k-ring algorithm", §VI-C).
-//! * [`allreduce_reduce_bcast`] — k-nomial reduce + k-nomial bcast, the
-//!   composite of Eq. (2)/(3).
+//! * recursive multiplying (§IV): `log_k p` rounds; each round every rank
+//!   exchanges its running vector with `k-1` partners and folds. The
+//!   paper's headline recursive-multiplying collective (Fig. 8b, Fig. 9d,
+//!   Fig. 10c); `k = 2` is MPICH's recursive doubling. Non-`k`-smooth
+//!   process counts fold remainder ranks first (the "non-uniform group"
+//!   corner case of §VI-A).
+//! * generalized multiplying (Kolmakov & Zhang): block-recursive cross
+//!   exchanges valid for any process count.
+//! * hierarchical (SMP-aware): intranode reduce, recursive multiplying
+//!   among node leaders, intranode broadcast.
+//! * reduce-scatter + allgather: ring reduce-scatter followed by an
+//!   allgather kernel. With [`AllgatherKernel::Ring`] this is the classic
+//!   bandwidth-optimal ring allreduce; with [`AllgatherKernel::KRing`] it
+//!   is the paper's k-ring allreduce ("the reduce-scatter-allgather
+//!   algorithm, which can also leverage the MPI_Allgather k-ring
+//!   algorithm", §VI-C).
+//! * k-nomial reduce + k-nomial bcast, the composite of Eq. (2)/(3).
 //!
 //! Composites are composed at the *schedule* level: each phase's builder
-//! appends its steps to the same plan, and the engine's round-mark flushes
-//! sequence the phases exactly as the blocking calls used to.
+//! appends its steps to the same plan, and the round-mark flushes sequence
+//! the phases exactly as blocking calls would.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
 use crate::bcast::build_bcast_knomial;
 use crate::reduce::build_reduce_knomial;
 use crate::reduce_scatter::{build_reduce_scatter_ring, elem_block_sizes};
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::{factorize, largest_smooth_leq};
 use crate::util::block_range;
-use exacoll_comm::{Comm, CommResult, DType, ReduceOp};
+use exacoll_comm::{DType, ReduceOp};
 
-/// Lower the recursive multiplying allreduce over a subgroup into `b`:
-/// `gsize` participants with group indices `0..gsize`, mapped to global
-/// ranks by `map`. Accumulates in place into `own`; returns the result view.
+/// Lower the recursive multiplying allreduce (radix `k`) over a subgroup
+/// into `b`: `gsize` participants with group indices `0..gsize`, mapped to
+/// global ranks by `map` (the identity for a whole-world allreduce; the
+/// hierarchical allreduce runs it among node leaders). Accumulates in place
+/// into `own`; returns the result view.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_allreduce_recmult_mapped(
     b: &mut ScheduleBuilder,
@@ -225,8 +231,12 @@ fn build_general_level(
     acc
 }
 
-/// Lower the hierarchical (SMP-aware) allreduce into `b` (see
-/// [`allreduce_hierarchical`]).
+/// Lower the hierarchical (SMP-aware) allreduce into `b`, the
+/// Hasanov-style structure the paper cites as k-ring's inspiration [17]: a
+/// flat intranode reduce to each node leader, recursive multiplying with
+/// radix `k` among leaders, then a flat intranode broadcast. Requires
+/// `ppn | p`; ranks are grouped contiguously per node as in
+/// `exacoll_sim::Machine`.
 pub(crate) fn build_allreduce_hierarchical(
     b: &mut ScheduleBuilder,
     ppn: usize,
@@ -277,7 +287,10 @@ pub(crate) fn build_allreduce_hierarchical(
     acc
 }
 
-/// Lower the reduce-scatter + allgather allreduce into `b`.
+/// Lower the reduce-scatter + allgather allreduce into `b`. The
+/// reduce-scatter is the ring variant; `kernel` picks the allgather phase
+/// (ring = classic ring allreduce, k-ring = the paper's k-ring allreduce,
+/// recursive multiplying = a Rabenseifner-style composite).
 pub(crate) fn build_allreduce_rsag(
     b: &mut ScheduleBuilder,
     kernel: AllgatherKernel,
@@ -309,117 +322,12 @@ pub(crate) fn build_allreduce_reduce_bcast(
     build_bcast_knomial(b, k, 0, reduced, n)
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone());
-    let schedule = b.finish(own, out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Recursive multiplying allreduce with radix `k`. Every rank contributes
-/// `input` and receives the full elementwise reduction.
-pub fn allreduce_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    let p = c.size();
-    let me = c.rank();
-    allreduce_recmult_mapped(c, k, p, me, |g| g, input, dtype, op)
-}
-
-/// Recursive multiplying allreduce over a *subgroup*: `gsize` participants
-/// with group indices `0..gsize`, mapped to global ranks by `map`. The
-/// hierarchical allreduce runs this among node leaders.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_recmult_mapped<C: Comm>(
-    c: &mut C,
-    k: usize,
-    gsize: usize,
-    gidx: usize,
-    map: impl Fn(usize) -> usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_recmult_mapped(b, k, gsize, gidx, map, own, dtype, op)
-    })
-}
-
-/// Generalized recursive multiplying allreduce (Kolmakov & Zhang) with
-/// radix `k`: block-recursive cross exchanges valid for any process count,
-/// power of `k` or not.
-pub fn allreduce_general<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_general(b, k, own, dtype, op)
-    })
-}
-
-/// Hierarchical (SMP-aware) allreduce, the Hasanov-style structure the
-/// paper cites as k-ring's inspiration [17]: a flat intranode reduce to
-/// each node leader, recursive multiplying with radix `k` among leaders,
-/// then a flat intranode broadcast. Requires `ppn | p`; ranks are grouped
-/// contiguously per node as in `exacoll_sim::Machine`.
-pub fn allreduce_hierarchical<C: Comm>(
-    c: &mut C,
-    ppn: usize,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_hierarchical(b, ppn, k, own, dtype, op)
-    })
-}
-
-/// Reduce-scatter + allgather allreduce. The reduce-scatter is the ring
-/// variant; `kernel` picks the allgather phase (ring = classic ring
-/// allreduce, k-ring = the paper's k-ring allreduce, recursive multiplying
-/// = a Rabenseifner-style composite).
-pub fn allreduce_rsag<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_rsag(b, kernel, own, dtype, op)
-    })
-}
-
-/// K-nomial reduce to rank 0 followed by k-nomial broadcast.
-pub fn allreduce_reduce_bcast<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_allreduce_reduce_bcast(b, k, own, dtype, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, TypedBuf};
+    use crate::registry::{Algorithm, CollArgs, CollectiveOp};
+    use crate::testkit::{live, world};
+    use exacoll_comm::{reduce_ops::reduce_all, TypedBuf};
 
     fn rank_input(rank: usize, count: usize, dtype: DType) -> Vec<u8> {
         let vals: Vec<f64> = (0..count)
@@ -428,15 +336,38 @@ mod tests {
         TypedBuf::from_f64s(dtype, &vals).bytes
     }
 
-    fn check<F>(p: usize, count: usize, dtype: DType, op: ReduceOp, f: F, label: &str)
-    where
-        F: Fn(&mut exacoll_comm::ThreadComm, &[u8]) -> CommResult<Vec<u8>> + Send + Sync,
-    {
+    fn args(alg: Algorithm, dtype: DType, rop: ReduceOp) -> CollArgs {
+        CollArgs {
+            dtype,
+            rop,
+            ..CollArgs::new(CollectiveOp::Allreduce, alg)
+        }
+    }
+
+    fn check(p: usize, count: usize, dtype: DType, op: ReduceOp, alg: Algorithm, label: &str) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
         let expect = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| f(c, &inputs[c.rank()]));
-        for (r, o) in out.iter().enumerate() {
+        for (r, o) in live(&args(alg, dtype, op), &inputs).iter().enumerate() {
             assert_eq!(o, &expect, "{label} p={p} rank={r} {dtype} {op}");
+        }
+    }
+
+    /// Reciprocal f64s whose sum depends on association order.
+    fn float_inputs(p: usize, count: usize) -> Vec<Vec<u8>> {
+        (0..p)
+            .map(|r| {
+                let vals: Vec<f64> = (0..count)
+                    .map(|i| 1.0 / ((r * count + i + 1) as f64))
+                    .collect();
+                TypedBuf::from_f64s(DType::F64, &vals).bytes
+            })
+            .collect()
+    }
+
+    fn check_bitwise_identical(alg: Algorithm, inputs: &[Vec<u8>], label: &str) {
+        let out = live(&args(alg, DType::F64, ReduceOp::Sum), inputs);
+        for o in &out[1..] {
+            assert_eq!(o, &out[0], "{label}: rank results diverge");
         }
     }
 
@@ -452,28 +383,16 @@ mod tests {
             (27, 3),
             (6, 6),
         ] {
-            check(
-                p,
-                8,
-                DType::I64,
-                ReduceOp::Sum,
-                |c, x| allreduce_recmult(c, k, x, DType::I64, ReduceOp::Sum),
-                "recmult",
-            );
+            let alg = Algorithm::RecursiveMultiplying { k };
+            check(p, 8, DType::I64, ReduceOp::Sum, alg, "recmult");
         }
     }
 
     #[test]
     fn recmult_fold_path() {
         for (p, k) in [(3usize, 2usize), (7, 2), (7, 4), (11, 4), (13, 3), (15, 2)] {
-            check(
-                p,
-                6,
-                DType::I32,
-                ReduceOp::Sum,
-                |c, x| allreduce_recmult(c, k, x, DType::I32, ReduceOp::Sum),
-                "recmult-fold",
-            );
+            let alg = Algorithm::RecursiveMultiplying { k };
+            check(p, 6, DType::I32, ReduceOp::Sum, alg, "recmult-fold");
         }
     }
 
@@ -482,14 +401,8 @@ mod tests {
         for op in ReduceOp::ALL {
             for dtype in [DType::U8, DType::I32, DType::F64] {
                 if op.supports(dtype) {
-                    check(
-                        9,
-                        5,
-                        dtype,
-                        op,
-                        move |c, x| allreduce_recmult(c, 3, x, dtype, op),
-                        "recmult-opmat",
-                    );
+                    let alg = Algorithm::RecursiveMultiplying { k: 3 };
+                    check(9, 5, dtype, op, alg, "recmult-opmat");
                 }
             }
         }
@@ -516,14 +429,8 @@ mod tests {
             (8, 2),
             (16, 4),
         ] {
-            check(
-                p,
-                8,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| allreduce_general(c, k, x, DType::I64, ReduceOp::Sum),
-                "general",
-            );
+            let alg = Algorithm::GeneralizedMultiplying { k };
+            check(p, 8, DType::I64, ReduceOp::Sum, alg, "general");
         }
     }
 
@@ -532,14 +439,8 @@ mod tests {
         for op in ReduceOp::ALL {
             for dtype in [DType::U8, DType::I32, DType::F64] {
                 if op.supports(dtype) {
-                    check(
-                        7,
-                        5,
-                        dtype,
-                        op,
-                        move |c, x| allreduce_general(c, 3, x, dtype, op),
-                        "general-opmat",
-                    );
+                    let alg = Algorithm::GeneralizedMultiplying { k: 3 };
+                    check(7, 5, dtype, op, alg, "general-opmat");
                 }
             }
         }
@@ -550,18 +451,8 @@ mod tests {
         // Cross folds run in ascending block order on every participant,
         // so non-associative float sums still agree bit for bit.
         for (p, k) in [(7usize, 2usize), (11, 3), (13, 4)] {
-            let inputs: Vec<Vec<u8>> = (0..p)
-                .map(|r| {
-                    let vals: Vec<f64> = (0..12).map(|i| 1.0 / ((r * 12 + i + 1) as f64)).collect();
-                    TypedBuf::from_f64s(DType::F64, &vals).bytes
-                })
-                .collect();
-            let out = run_ranks(p, |c| {
-                allreduce_general(c, k, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-            });
-            for o in &out[1..] {
-                assert_eq!(o, &out[0], "general results diverge p={p} k={k}");
-            }
+            let alg = Algorithm::GeneralizedMultiplying { k };
+            check_bitwise_identical(alg, &float_inputs(p, 12), &format!("general p={p} k={k}"));
         }
     }
 
@@ -585,96 +476,55 @@ mod tests {
     #[test]
     fn ring_allreduce() {
         for p in [1usize, 2, 3, 5, 8, 12] {
-            check(
-                p,
-                10,
-                DType::I64,
-                ReduceOp::Sum,
-                |c, x| allreduce_rsag(c, AllgatherKernel::Ring, x, DType::I64, ReduceOp::Sum),
-                "ring",
-            );
+            check(p, 10, DType::I64, ReduceOp::Sum, Algorithm::Ring, "ring");
         }
     }
 
     #[test]
     fn kring_allreduce() {
         for (p, k) in [(6usize, 3usize), (8, 4), (8, 2), (12, 4), (12, 6), (9, 3)] {
-            check(
-                p,
-                11,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| {
-                    allreduce_rsag(
-                        c,
-                        AllgatherKernel::KRing { k },
-                        x,
-                        DType::I64,
-                        ReduceOp::Sum,
-                    )
-                },
-                "kring",
-            );
+            let alg = Algorithm::KRing { k };
+            check(p, 11, DType::I64, ReduceOp::Sum, alg, "kring");
         }
     }
 
     #[test]
     fn rsag_recmult_composite() {
+        // No registry algorithm pairs the ring reduce-scatter with a
+        // recursive-multiplying allgather: build it directly.
+        let (dtype, op) = (DType::I32, ReduceOp::Sum);
         for (p, k) in [(8usize, 4usize), (7, 2), (12, 3)] {
-            check(
-                p,
-                9,
-                DType::I32,
-                ReduceOp::Sum,
-                move |c, x| {
-                    allreduce_rsag(
-                        c,
-                        AllgatherKernel::RecursiveMultiplying { k },
-                        x,
-                        DType::I32,
-                        ReduceOp::Sum,
-                    )
-                },
-                "rsag-recmult",
-            );
+            let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, 9, dtype)).collect();
+            let expect = reduce_all(dtype, op, &inputs).unwrap();
+            let out = world(&inputs, |r| {
+                let mut b = ScheduleBuilder::new(p, r);
+                let own = b.alloc(inputs[r].len());
+                let kernel = AllgatherKernel::RecursiveMultiplying { k };
+                let res = build_allreduce_rsag(&mut b, kernel, own.clone(), dtype, op);
+                b.finish(own, res)
+            });
+            for (r, o) in out.iter().enumerate() {
+                assert_eq!(o, &expect, "rsag-recmult p={p} k={k} rank={r}");
+            }
         }
     }
 
     #[test]
     fn reduce_bcast_composite() {
         for (p, k) in [(6usize, 2usize), (9, 3), (13, 4), (16, 16)] {
-            check(
-                p,
-                7,
-                DType::U64,
-                ReduceOp::Max,
-                move |c, x| allreduce_reduce_bcast(c, k, x, DType::U64, ReduceOp::Max),
-                "reduce-bcast",
-            );
+            let alg = Algorithm::ReduceBcast { k };
+            check(p, 7, DType::U64, ReduceOp::Max, alg, "reduce-bcast");
         }
     }
 
     #[test]
     fn float_sums_bitwise_identical_across_ranks() {
-        // Random-ish f64s: all ranks must produce the *same* bits even if
-        // the value depends on association order.
-        let p = 12;
-        let count = 16;
-        let inputs: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let vals: Vec<f64> = (0..count)
-                    .map(|i| 1.0 / ((r * count + i + 1) as f64))
-                    .collect();
-                TypedBuf::from_f64s(DType::F64, &vals).bytes
-            })
-            .collect();
+        // All ranks must produce the *same* bits even if the value depends
+        // on association order.
+        let inputs = float_inputs(12, 16);
         for k in [2usize, 3, 4] {
-            let out = run_ranks(p, |c| {
-                allreduce_recmult(c, k, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-            });
-            for o in &out[1..] {
-                assert_eq!(o, &out[0], "rank results diverge for k={k}");
-            }
+            let alg = Algorithm::RecursiveMultiplying { k };
+            check_bitwise_identical(alg, &inputs, &format!("recmult k={k}"));
         }
     }
 
@@ -690,51 +540,21 @@ mod tests {
             (6, 1, 3),  // degenerate: every rank its own leader
             (20, 4, 4), // 5 leaders: non-smooth leader count, fold path
         ] {
-            check(
-                p,
-                9,
-                DType::I64,
-                ReduceOp::Sum,
-                move |c, x| allreduce_hierarchical(c, ppn, k, x, DType::I64, ReduceOp::Sum),
-                "hierarchical",
-            );
+            let alg = Algorithm::Hierarchical { ppn, k };
+            check(p, 9, DType::I64, ReduceOp::Sum, alg, "hierarchical");
         }
     }
 
     #[test]
     fn hierarchical_float_bitwise_identical() {
-        let p = 16;
-        let inputs: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let vals: Vec<f64> = (0..8).map(|i| 1.0 / ((r * 8 + i + 1) as f64)).collect();
-                TypedBuf::from_f64s(DType::F64, &vals).bytes
-            })
-            .collect();
-        let out = run_ranks(p, |c| {
-            allreduce_hierarchical(c, 4, 4, &inputs[c.rank()], DType::F64, ReduceOp::Sum)
-        });
-        for o in &out[1..] {
-            assert_eq!(o, &out[0], "hierarchical results diverge across ranks");
-        }
+        let alg = Algorithm::Hierarchical { ppn: 4, k: 4 };
+        check_bitwise_identical(alg, &float_inputs(16, 8), "hierarchical");
     }
 
     #[test]
     fn tiny_and_empty_vectors() {
-        check(
-            5,
-            0,
-            DType::F64,
-            ReduceOp::Sum,
-            |c, x| allreduce_recmult(c, 2, x, DType::F64, ReduceOp::Sum),
-            "empty",
-        );
-        check(
-            8,
-            1,
-            DType::U8,
-            ReduceOp::BOr,
-            |c, x| allreduce_rsag(c, AllgatherKernel::Ring, x, DType::U8, ReduceOp::BOr),
-            "one-elem",
-        );
+        let alg = Algorithm::RecursiveMultiplying { k: 2 };
+        check(5, 0, DType::F64, ReduceOp::Sum, alg, "empty");
+        check(8, 1, DType::U8, ReduceOp::BOr, Algorithm::Ring, "one-elem");
     }
 }

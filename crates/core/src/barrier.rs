@@ -8,14 +8,15 @@
 //! `ceil(log_k p)` rounds instead of `ceil(log_2 p)`.
 //!
 //! Barrier messages are empty; only the synchronization structure matters.
-//! The lowering emits zero-byte sends and receives, and the engine's
-//! round-mark flush yields exactly one wait per round.
+//! The lowering emits zero-byte sends and receives, and the round-mark
+//! flush yields exactly one wait per round.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
-use exacoll_comm::{Comm, CommResult};
 
-/// Lower a radix-`k` dissemination barrier into `b`.
+/// Lower a radix-`k` dissemination barrier into `b`: once executed, the
+/// rank proceeds only after every rank has entered. `k = 2` is the classic
+/// dissemination barrier.
 pub(crate) fn build_barrier_dissemination(b: &mut ScheduleBuilder, k: usize) {
     assert!(k >= 2, "dissemination radix must be at least 2");
     let p = b.p();
@@ -43,16 +44,6 @@ pub(crate) fn build_barrier_dissemination(b: &mut ScheduleBuilder, k: usize) {
     }
 }
 
-/// K-dissemination barrier: returns only after every rank has entered.
-/// `k = 2` is the classic dissemination barrier.
-pub fn barrier_dissemination<C: Comm>(c: &mut C, k: usize) -> CommResult<()> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    build_barrier_dissemination(&mut b, k);
-    let schedule = b.finish(SgList::empty(), SgList::empty());
-    execute_schedule(c, &schedule, &[])?;
-    Ok(())
-}
-
 /// Number of rounds the k-dissemination barrier takes: `ceil(log_k p)`.
 pub fn dissemination_rounds(p: usize, k: usize) -> usize {
     let mut rounds = 0;
@@ -67,8 +58,13 @@ pub fn dissemination_rounds(p: usize, k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{execute, lower, Algorithm, CollArgs, CollectiveOp};
     use exacoll_comm::run_ranks;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn barrier(k: usize) -> CollArgs {
+        CollArgs::new(CollectiveOp::Barrier, Algorithm::Dissemination { k })
+    }
 
     #[test]
     fn rounds_formula() {
@@ -86,7 +82,7 @@ mod tests {
         let entered = AtomicUsize::new(0);
         let observed = run_ranks(p, |c| {
             entered.fetch_add(1, Ordering::SeqCst);
-            barrier_dissemination(c, k)?;
+            execute(c, &barrier(k), &[])?;
             Ok(entered.load(Ordering::SeqCst))
         });
         for (r, &seen) in observed.iter().enumerate() {
@@ -107,7 +103,7 @@ mod tests {
     fn repeated_barriers_do_not_interfere() {
         let out = run_ranks(6, |c| {
             for _ in 0..10 {
-                barrier_dissemination(c, 3)?;
+                execute(c, &barrier(3), &[])?;
             }
             Ok(())
         });
@@ -116,11 +112,10 @@ mod tests {
 
     #[test]
     fn higher_radix_needs_fewer_rounds_in_simulation() {
-        use exacoll_comm::record_traces;
         let p = 64;
         let count_rounds = |k: usize| {
-            let traces = record_traces(p, |c| barrier_dissemination(c, k));
-            traces[0]
+            lower(&barrier(k), p, 0, 0)
+                .to_trace()
                 .ops
                 .iter()
                 .filter(|o| matches!(o, exacoll_comm::TraceOp::WaitAll { .. }))

@@ -1,26 +1,25 @@
 //! Broadcast algorithms.
 //!
-//! * [`bcast_knomial`] — k-nomial tree (§III); `k = 2` is MPICH's binomial.
-//!   Best for small, latency-bound messages.
-//! * [`bcast_linear`] — root sends to every rank sequentially; the naïve
+//! * k-nomial tree (§III); `k = 2` is MPICH's binomial. Best for small,
+//!   latency-bound messages.
+//! * linear — root sends to every rank sequentially; the naïve
 //!   `p(α + βn)` baseline from §III-B.
-//! * [`bcast_scatter_allgather`] — the large-message path (§V-C): a binomial
+//! * scatter-allgather — the large-message path (§V-C): a binomial
 //!   scatter of `n/p` blocks followed by any allgather kernel (ring, k-ring,
 //!   or recursive multiplying), exactly how MPICH composes its large
 //!   broadcast and how the paper's k-ring and recursive-multiplying
 //!   broadcasts are built.
 //!
 //! Each variant is a schedule *builder*: lowering appends [`crate::schedule`]
-//! steps, and the thin public wrappers run the result through the generic
-//! engine.
+//! steps, and [`crate::registry`] dispatches to them.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
 use crate::scatter::build_scatter_knomial;
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::KnomialTree;
 use crate::util::block_len;
-use exacoll_comm::{Comm, CommResult, Rank};
+use exacoll_comm::Rank;
 
 /// Lower a k-nomial broadcast into `b`. `data` must be `Some` at the root;
 /// returns the full-payload view every rank ends up holding.
@@ -98,61 +97,29 @@ pub(crate) fn build_bcast_scatter_allgather(
     SgList::concat(&blocks)
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: Option<&[u8]>,
-    build: impl FnOnce(&mut ScheduleBuilder, Option<SgList>) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let data = input.map(|d| b.alloc(d.len()));
-    let out = build(&mut b, data.clone());
-    let schedule = b.finish(data.unwrap_or_default(), out);
-    execute_schedule(c, &schedule, input.unwrap_or(&[]))
-}
-
-/// K-nomial tree broadcast. `input` must be `Some` at the root; every rank
-/// receives the full payload of `n` bytes.
-pub fn bcast_knomial<C: Comm>(
-    c: &mut C,
-    k: usize,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| build_bcast_knomial(b, k, root, data, n))
-}
-
-/// Naïve linear broadcast: the root sends the payload to every other rank.
-pub fn bcast_linear<C: Comm>(
-    c: &mut C,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| build_bcast_linear(b, root, data, n))
-}
-
-/// Scatter-allgather broadcast: binomial scatter of near-equal blocks, then
-/// the chosen allgather kernel reassembles the payload everywhere.
-pub fn bcast_scatter_allgather<C: Comm>(
-    c: &mut C,
-    kernel: AllgatherKernel,
-    root: Rank,
-    input: Option<&[u8]>,
-    n: usize,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, data| {
-        build_bcast_scatter_allgather(b, kernel, root, data, n)
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{Algorithm, CollArgs, CollectiveOp};
+    use crate::testkit::live;
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    /// Broadcast `payload(n)` from `root` with `alg`; every rank's output
+    /// must be the payload.
+    fn check(p: usize, alg: Algorithm, root: usize, n: usize) {
+        let data = payload(n);
+        let inputs: Vec<Vec<u8>> = (0..p)
+            .map(|r| if r == root { data.clone() } else { vec![0; n] })
+            .collect();
+        let args = CollArgs {
+            root,
+            ..CollArgs::new(CollectiveOp::Bcast, alg)
+        };
+        for (r, o) in live(&args, &inputs).iter().enumerate() {
+            assert_eq!(o, &data, "{alg} p={p} root={root} n={n} rank={r}");
+        }
     }
 
     #[test]
@@ -160,16 +127,7 @@ mod tests {
         for p in [1usize, 2, 3, 4, 6, 9, 16, 17] {
             for k in [2usize, 3, 4, 8] {
                 for root in [0, p / 2, p - 1] {
-                    let n = 33;
-                    let data = payload(n);
-                    let expect = data.clone();
-                    let out = run_ranks(p, |c| {
-                        let input = (c.rank() == root).then_some(&data[..]);
-                        bcast_knomial(c, k, root, input, n)
-                    });
-                    for (r, o) in out.iter().enumerate() {
-                        assert_eq!(o, &expect, "p={p} k={k} root={root} rank={r}");
-                    }
+                    check(p, Algorithm::KnomialTree { k }, root, 33);
                 }
             }
         }
@@ -179,12 +137,7 @@ mod tests {
     fn linear_matches() {
         for p in [1usize, 2, 5, 8] {
             for root in [0, p - 1] {
-                let data = payload(17);
-                let out = run_ranks(p, |c| {
-                    let input = (c.rank() == root).then_some(&data[..]);
-                    bcast_linear(c, root, input, 17)
-                });
-                assert!(out.iter().all(|o| o == &data));
+                check(p, Algorithm::Linear, root, 17);
             }
         }
     }
@@ -194,14 +147,7 @@ mod tests {
         for p in [2usize, 3, 7, 8] {
             for root in [0, p - 1] {
                 for n in [0usize, 5, 64, 129] {
-                    let data = payload(n);
-                    let out = run_ranks(p, |c| {
-                        let input = (c.rank() == root).then_some(&data[..]);
-                        bcast_scatter_allgather(c, AllgatherKernel::Ring, root, input, n)
-                    });
-                    for o in &out {
-                        assert_eq!(o, &data, "p={p} root={root} n={n}");
-                    }
+                    check(p, Algorithm::Ring, root, n);
                 }
             }
         }
@@ -210,39 +156,19 @@ mod tests {
     #[test]
     fn scatter_allgather_kring() {
         for (p, k) in [(6usize, 3usize), (8, 4), (8, 2), (12, 4), (9, 3)] {
-            let n = 97;
-            let data = payload(n);
-            let out = run_ranks(p, |c| {
-                let input = (c.rank() == 1).then_some(&data[..]);
-                bcast_scatter_allgather(c, AllgatherKernel::KRing { k }, 1, input, n)
-            });
-            for o in &out {
-                assert_eq!(o, &data, "p={p} k={k}");
-            }
+            check(p, Algorithm::KRing { k }, 1, 97);
         }
     }
 
     #[test]
     fn scatter_allgather_recmult() {
         for (p, k) in [(8usize, 2usize), (9, 3), (12, 4), (7, 4), (10, 5)] {
-            let n = 64;
-            let data = payload(n);
-            let out = run_ranks(p, |c| {
-                let input = (c.rank() == 0).then_some(&data[..]);
-                bcast_scatter_allgather(c, AllgatherKernel::RecursiveMultiplying { k }, 0, input, n)
-            });
-            for o in &out {
-                assert_eq!(o, &data, "p={p} k={k}");
-            }
+            check(p, Algorithm::RecursiveMultiplying { k }, 0, 64);
         }
     }
 
     #[test]
     fn zero_byte_bcast() {
-        let out = run_ranks(5, |c| {
-            let input = (c.rank() == 0).then_some(&[][..]);
-            bcast_knomial(c, 3, 0, input, 0)
-        });
-        assert!(out.iter().all(|o| o.is_empty()));
+        check(5, Algorithm::KnomialTree { k: 3 }, 0, 0);
     }
 }

@@ -7,10 +7,10 @@
 //! vrank→rank unrotation is pure bookkeeping: the schedule's output view
 //! lists the received regions in rank order, no copy happens.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::KnomialTree;
-use exacoll_comm::{Comm, CommResult, Rank};
+use exacoll_comm::Rank;
 
 /// Lower a k-nomial gather into `b`. `own` is this rank's uniform-size
 /// block; the root gets the concatenation in rank order, others `None`.
@@ -57,43 +57,27 @@ pub(crate) fn build_gather_knomial(
     Some(out)
 }
 
-/// K-nomial gather: every rank contributes `input` (uniform length); the
-/// root returns the concatenation in rank order, others return `None`.
-pub fn gather_knomial<C: Comm>(
-    c: &mut C,
-    k: usize,
-    root: Rank,
-    input: &[u8],
-) -> CommResult<Option<Vec<u8>>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build_gather_knomial(&mut b, k, root, own.clone());
-    let is_root = out.is_some();
-    let schedule = b.finish(own, out.unwrap_or_default());
-    let bytes = execute_schedule(c, &schedule, input)?;
-    Ok(is_root.then_some(bytes))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use exacoll_comm::run_ranks;
+    use crate::registry::{Algorithm, CollArgs, CollectiveOp};
+    use crate::testkit::live;
 
     fn rank_block(rank: usize, n: usize) -> Vec<u8> {
         (0..n).map(|i| (rank * 31 + i) as u8).collect()
     }
 
     fn check(p: usize, k: usize, root: usize, n: usize) {
-        let expect: Vec<u8> = (0..p).flat_map(|r| rank_block(r, n)).collect();
-        let out = run_ranks(p, |c| {
-            let mine = rank_block(c.rank(), n);
-            gather_knomial(c, k, root, &mine)
-        });
-        for (r, o) in out.iter().enumerate() {
+        let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_block(r, n)).collect();
+        let args = CollArgs {
+            root,
+            ..CollArgs::new(CollectiveOp::Gather, Algorithm::KnomialTree { k })
+        };
+        let expect = inputs.concat();
+        for (r, o) in live(&args, &inputs).iter().enumerate() {
             if r == root {
-                assert_eq!(o.as_ref().unwrap(), &expect, "p={p} k={k} root={root}");
+                assert_eq!(o, &expect, "p={p} k={k} root={root}");
             } else {
-                assert!(o.is_none());
+                assert!(o.is_empty());
             }
         }
     }

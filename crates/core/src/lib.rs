@@ -16,17 +16,18 @@
 //!
 //! Every algorithm *lowers* to a per-rank [`schedule::Schedule`] — a
 //! verifiable list of send/recv/compute steps over abstract buffer views —
-//! and one generic engine, [`schedule::engine::execute_schedule`], runs any
-//! schedule against any [`exacoll_comm::Comm`] backend. The same plan is
-//! executed with real data on the threaded and socket runtimes (correctness
-//! tests), replayed on the machine simulator (performance), statically
-//! verified for deadlock-freedom and data-flow coverage
-//! ([`schedule::verify`]), and counted term-by-term against the α-β-γ cost
-//! models.
+//! which [`schedule::compile`] flattens for the one [`Executor`] that runs
+//! any plan against any [`exacoll_comm::Comm`] backend. The same compiled
+//! plan is executed with real data on the threaded and socket runtimes,
+//! evaluated single-threaded for a whole world ([`schedule::world`]),
+//! replayed on the machine simulator (performance), statically verified for
+//! deadlock-freedom and data-flow coverage ([`schedule::verify`]), and
+//! counted term-by-term against the α-β-γ cost models.
 //!
-//! The uniform entry point is [`registry::execute`] (lowering lives in
-//! [`registry::lower`]); see [`registry`] for the algorithm/operation
-//! compatibility matrix.
+//! The uniform entry points are [`registry::execute`] and
+//! [`registry::execute_v`] (lowering lives in [`registry::lower`]); see
+//! [`registry`] for the algorithm/operation compatibility matrix. The
+//! per-collective modules hold the lowering builders.
 
 pub mod allgather;
 pub mod allreduce;
@@ -44,10 +45,12 @@ pub mod schedule;
 pub mod spec;
 pub mod tags;
 pub mod tenant;
+#[cfg(test)]
+mod testkit;
 pub mod topo;
 pub mod util;
 
 pub use plan_cache::{CacheMetrics, PlanCache, PlanKey};
 pub use registry::{execute, Algorithm, CollArgs, CollectiveOp};
-pub use schedule::{compile, execute_compiled, CompiledSchedule, Executor};
+pub use schedule::{compile, CompiledSchedule, Executor};
 pub use tenant::{merge_tenants, run_tenants, Tenant, TENANT_TAG_STRIDE};

@@ -1,10 +1,10 @@
 //! Reduce-scatter algorithms.
 //!
-//! * [`reduce_scatter_ring`] — runs the ring "leftward" so that after `p-1`
+//! * ring — runs the ring "leftward" so that after `p-1`
 //!   rounds rank `r` owns the fully reduced block `r` — the one-block
 //!   ownership offset the paper notes distinguishes the allreduce k-ring
 //!   from the allgather k-ring (§V-D).
-//! * [`reduce_scatter_recmult`] — **radix-`k` recursive vector splitting**:
+//! * **radix-`k` recursive vector splitting**:
 //!   MPICH's recursive *halving* is the `k = 2` case; each round splits the
 //!   active segment into `f ≤ k` parts exchanged within a group of `f`
 //!   ranks, shrinking the segment by the round's factor. Requires a
@@ -15,11 +15,11 @@
 //! the order of the `Compute` steps, kept identical to the original loops so
 //! results stay bitwise deterministic.
 
-use crate::schedule::{engine::execute_schedule, ScheduleBuilder, SgList};
+use crate::schedule::{ScheduleBuilder, SgList};
 use crate::tags;
 use crate::topo::factorize;
 use crate::util::{pmod, prefix_offsets};
-use exacoll_comm::{Comm, CommResult, DType, ReduceOp};
+use exacoll_comm::{DType, ReduceOp};
 
 /// Element-aligned byte range of block `i` when `n` bytes of `esize`-byte
 /// elements are split into `p` near-equal blocks.
@@ -219,64 +219,20 @@ pub(crate) fn build_reduce_scatter_recmult(
     cur
 }
 
-fn run<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    build: impl FnOnce(&mut ScheduleBuilder, SgList) -> SgList,
-) -> CommResult<Vec<u8>> {
-    let mut b = ScheduleBuilder::new(c.size(), c.rank());
-    let own = b.alloc(input.len());
-    let out = build(&mut b, own.clone());
-    let schedule = b.finish(own, out);
-    execute_schedule(c, &schedule, input)
-}
-
-/// Ring reduce-scatter. Every rank contributes `input` (`n` bytes); rank `r`
-/// returns the fully reduced block `r` (element-aligned near-equal split).
-pub fn reduce_scatter_ring<C: Comm>(
-    c: &mut C,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_ring(b, own, dtype, op)
-    })
-}
-
-/// Irregular ("v") ring reduce-scatter: rank `r` contributes `input`
-/// (`sum(counts)` bytes) and returns the fully reduced `counts[r]`-byte
-/// block — zero-count ranks return an empty vector.
-pub fn reduce_scatter_v<C: Comm>(
-    c: &mut C,
-    counts: &[usize],
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_v(b, counts, own, dtype, op)
-    })
-}
-
-/// Radix-`k` recursive-splitting reduce-scatter. Requires `p` to be
-/// `k`-smooth; rank `r` returns the fully reduced element-aligned block `r`.
-pub fn reduce_scatter_recmult<C: Comm>(
-    c: &mut C,
-    k: usize,
-    input: &[u8],
-    dtype: DType,
-    op: ReduceOp,
-) -> CommResult<Vec<u8>> {
-    run(c, input, |b, own| {
-        build_reduce_scatter_recmult(b, k, own, dtype, op)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{reduce_ops::reduce_all, run_ranks, TypedBuf};
+    use crate::registry::{lower, lower_v, Algorithm, CollArgs, CollectiveOp};
+    use crate::testkit::{live, live_v};
+    use exacoll_comm::{reduce_ops::reduce_all, TypedBuf};
+
+    fn args(alg: Algorithm, dtype: DType, rop: ReduceOp) -> CollArgs {
+        CollArgs {
+            dtype,
+            rop,
+            ..CollArgs::new(CollectiveOp::ReduceScatter, alg)
+        }
+    }
 
     fn rank_input(rank: usize, count: usize, dtype: DType) -> Vec<u8> {
         let vals: Vec<f64> = (0..count).map(|i| ((rank * 5 + i) % 11) as f64).collect();
@@ -286,7 +242,7 @@ mod tests {
     fn check(p: usize, count: usize, dtype: DType, op: ReduceOp) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
         let full = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| reduce_scatter_ring(c, &inputs[c.rank()], dtype, op));
+        let out = live(&args(Algorithm::Ring, dtype, op), &inputs);
         for (r, o) in out.iter().enumerate() {
             let (s, e) = elem_block_range(count * dtype.size(), dtype.size(), p, r);
             assert_eq!(o, &full[s..e], "p={p} rank={r} {dtype} {op}");
@@ -332,9 +288,10 @@ mod tests {
     fn check_recmult(p: usize, k: usize, count: usize, dtype: DType, op: ReduceOp) {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, count, dtype)).collect();
         let full = reduce_all(dtype, op, &inputs).unwrap();
-        let out = run_ranks(p, |c| {
-            reduce_scatter_recmult(c, k, &inputs[c.rank()], dtype, op)
-        });
+        let out = live(
+            &args(Algorithm::RecursiveMultiplying { k }, dtype, op),
+            &inputs,
+        );
         for (r, o) in out.iter().enumerate() {
             let (s, e) = elem_block_range(count * dtype.size(), dtype.size(), p, r);
             assert_eq!(o, &full[s..e], "recmult p={p} k={k} rank={r} {dtype} {op}");
@@ -381,9 +338,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, total_elems, dtype)).collect();
         let full = reduce_all(dtype, op, &inputs).unwrap();
         let offsets = crate::util::prefix_offsets(&counts);
-        let out = run_ranks(p, |c| {
-            reduce_scatter_v(c, &counts, &inputs[c.rank()], dtype, op)
-        });
+        let out = live_v(&args(Algorithm::Ring, dtype, op), &counts, &inputs);
         for (r, o) in out.iter().enumerate() {
             assert_eq!(
                 o,
@@ -411,12 +366,9 @@ mod tests {
         let elems = 12;
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, elems, DType::I64)).collect();
         let counts = vec![elems / p * 8; p];
-        let ring = run_ranks(p, |c| {
-            reduce_scatter_ring(c, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        let v = run_ranks(p, |c| {
-            reduce_scatter_v(c, &counts, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
+        let ring_args = args(Algorithm::Ring, DType::I64, ReduceOp::Sum);
+        let ring = live(&ring_args, &inputs);
+        let v = live_v(&ring_args, &counts, &inputs);
         assert_eq!(ring, v);
     }
 
@@ -441,29 +393,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "element-aligned")]
     fn v_variant_rejects_misaligned_counts() {
-        exacoll_comm::record_traces(2, |c| {
-            reduce_scatter_v(c, &[3, 5], &[0u8; 8], DType::I64, ReduceOp::Sum).map(|_| ())
-        });
+        lower_v(
+            &args(Algorithm::Ring, DType::I64, ReduceOp::Sum),
+            0,
+            &[3, 5],
+        );
     }
 
     #[test]
     #[should_panic(expected = "smooth")]
     fn recursive_splitting_rejects_nonsmooth() {
-        exacoll_comm::record_traces(7, |c| {
-            reduce_scatter_recmult(c, 2, &[0u8; 56], DType::F64, ReduceOp::Sum).map(|_| ())
-        });
+        let alg = Algorithm::RecursiveMultiplying { k: 2 };
+        lower(&args(alg, DType::F64, ReduceOp::Sum), 7, 0, 56);
     }
 
     #[test]
     fn ring_and_recursive_agree() {
         let p = 12;
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| rank_input(r, 24, DType::I64)).collect();
-        let ring = run_ranks(p, |c| {
-            reduce_scatter_ring(c, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
-        let rec = run_ranks(p, |c| {
-            reduce_scatter_recmult(c, 3, &inputs[c.rank()], DType::I64, ReduceOp::Sum)
-        });
+        let ring = live(&args(Algorithm::Ring, DType::I64, ReduceOp::Sum), &inputs);
+        let alg = Algorithm::RecursiveMultiplying { k: 3 };
+        let rec = live(&args(alg, DType::I64, ReduceOp::Sum), &inputs);
         assert_eq!(ring, rec);
     }
 }

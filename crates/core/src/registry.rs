@@ -2,8 +2,8 @@
 //! (Table I), uniform dispatch, and sweep enumeration.
 //!
 //! Dispatch is two-staged: [`lower`] turns a [`CollArgs`] into the per-rank
-//! [`Schedule`] IR, and [`execute`] runs that plan through the one generic
-//! engine. Everything downstream — correctness runs, trace simulation,
+//! [`Schedule`] IR, and [`execute`] compiles it (once, through the plan
+//! cache) and runs it on the one [`Executor`]. Everything downstream — correctness runs, trace simulation,
 //! static verification, model term counting — consumes the same lowering.
 
 use crate::allgather::{build_allgather_kernel, AllgatherKernel};
@@ -159,7 +159,7 @@ pub enum Algorithm {
     /// not a plan — it must be resolved to a concrete algorithm (via
     /// `exacoll_select` or [`default_algorithm`]) before lowering;
     /// [`Algorithm::supports`] rejects it for every collective so an
-    /// unresolved `Auto` can never reach the engine silently.
+    /// unresolved `Auto` can never reach the executor silently.
     Auto,
 }
 
@@ -361,9 +361,10 @@ pub fn execute<C: Comm>(c: &mut C, args: &CollArgs, input: &[u8]) -> CommResult<
 /// Lower one collective invocation to `rank`'s communication plan, for a
 /// size-`p` communicator with `n` input bytes per rank.
 ///
-/// This is the *whole* registry dispatch: [`execute`] is nothing but
-/// `lower` + [`execute_schedule`], and the simulator, verifier, and model
-/// term counter consume the identical plans.
+/// This is the *whole* registry dispatch: [`execute`] is `lower` +
+/// [`compile`] behind the plan cache, run by an [`Executor`], and the
+/// simulator, verifier, world evaluator and model term counter consume the
+/// identical plans.
 ///
 /// # Panics
 ///
@@ -919,7 +920,7 @@ mod tests {
             assert_eq!(s.input.len(), 3);
             assert_eq!(s.output.len(), 3 * p);
         }
-        // And the engine agrees with execute().
+        // And the executor agrees with execute().
         let out = run_ranks(p, |c| {
             let input = vec![c.rank() as u8; 3];
             execute(c, &args, &input)

@@ -9,21 +9,28 @@
 //! gather lists ([`SgList`]) on the schedule's `input`/`output` views and on
 //! individual sends.
 //!
-//! The same IR feeds four consumers:
-//! * [`engine::execute_schedule`] runs it on any `Comm` backend,
-//! * [`Schedule::to_trace`] replays it on the trace recorder for the
+//! Steps get their meaning in exactly one place: [`compile`] flattens a
+//! plan into a [`CompiledSchedule`] and the [`Executor`] runs it. Every
+//! consumer goes through that pair:
+//! * live backends run it with [`Executor::run`],
+//! * [`Schedule::to_trace`] runs it on the trace recorder for the
 //!   discrete-event simulator (`exacoll-sim`),
-//! * [`verify`] statically checks matching, tags, and data flow,
-//! * [`verify::ScheduleStats`] counts the α/β/γ terms the analytical
-//!   models (`exacoll-models`) predict.
+//! * [`world`] runs a whole plan set single-threaded over an in-memory
+//!   network — the byte-identity oracle of the optimizer and replay.
+//!
+//! Two checks stand outside it as independent oracles: [`verify`]
+//! statically checks matching, tags, and data flow (and
+//! [`verify::ScheduleStats`] counts the α/β/γ terms the analytical models
+//! in `exacoll-models` predict), and `crate::reference` computes every
+//! collective's expected output sequentially.
 
 pub mod compiled;
-pub mod engine;
 pub mod verify;
+pub mod world;
 
-pub use compiled::{compile, execute_compiled, CompiledSchedule, Executor};
+pub use compiled::{compile, CompiledSchedule, Executor};
 
-use exacoll_comm::{DType, Rank, RankTrace, ReduceOp, Tag, TraceComm};
+use exacoll_comm::{DType, Rank, RankTrace, ReduceOp, Tag};
 use std::ops::Range;
 
 /// A scatter/gather list: an ordered sequence of byte ranges into the
@@ -101,30 +108,6 @@ impl SgList {
         }
         assert!(want == 0, "slice {offset}+{len} out of bounds for {self:?}");
         out
-    }
-
-    /// Materialize the denoted byte string from `buf`.
-    pub fn gather_from(&self, buf: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        for r in &self.0 {
-            out.extend_from_slice(&buf[r.clone()]);
-        }
-        out
-    }
-
-    /// Write `data` into the denoted ranges in order. Copies
-    /// `min(data.len(), self.len())` bytes — a short payload (truncated
-    /// receive) fills a prefix, mirroring what the hand-rolled loops did.
-    pub fn scatter_to(&self, buf: &mut [u8], data: &[u8]) {
-        let mut pos = 0;
-        for r in &self.0 {
-            if pos >= data.len() {
-                break;
-            }
-            let take = r.len().min(data.len() - pos);
-            buf[r.start..r.start + take].copy_from_slice(&data[pos..pos + take]);
-            pos += take;
-        }
     }
 
     /// Whether any byte is shared with `other`.
@@ -231,19 +214,12 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Replay the plan on the trace recorder, yielding the rank's
-    /// [`RankTrace`] for discrete-event simulation.
-    ///
-    /// This runs the *real* engine over a [`TraceComm`], so the recorded
-    /// op sequence is — by construction, not by a parallel reimplementation
-    /// — exactly what [`engine::execute_schedule`] performs on a live
-    /// backend.
+    /// Run the plan on the trace recorder, yielding the rank's
+    /// [`RankTrace`] for discrete-event simulation: [`compile`] plus
+    /// [`CompiledSchedule::to_trace`], so the recorded op sequence is — by
+    /// construction — what [`Executor::run`] performs on a live backend.
     pub fn to_trace(&self) -> RankTrace {
-        let mut c = TraceComm::new(self.rank, self.p);
-        let zeros = vec![0u8; self.input.len()];
-        engine::execute_schedule(&mut c, self, &zeros)
-            .unwrap_or_else(|e| panic!("schedule replay failed on rank {}: {e}", self.rank));
-        c.finish()
+        compile(self).to_trace()
     }
 }
 
@@ -383,24 +359,6 @@ mod tests {
         a.push(3..6);
         let b = SgList::from(0..6);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip_permutation() {
-        let mut buf = vec![0u8; 8];
-        let mut dst = SgList::empty();
-        dst.push(4..8);
-        dst.push(0..4);
-        dst.scatter_to(&mut buf, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(buf, vec![5, 6, 7, 8, 1, 2, 3, 4]);
-        assert_eq!(dst.gather_from(&buf), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn short_scatter_fills_a_prefix() {
-        let mut buf = vec![9u8; 6];
-        SgList::from(0..6).scatter_to(&mut buf, &[1, 2]);
-        assert_eq!(buf, vec![1, 2, 9, 9, 9, 9]);
     }
 
     #[test]

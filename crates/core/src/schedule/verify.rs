@@ -8,7 +8,7 @@
 //! * **Data flow** — every byte is defined (by the input view, a receive, or
 //!   a copy) before it is sent, reduced, or returned; receives and copies
 //!   never overwrite live data; every output byte is written exactly once.
-//! * **Matching** — replaying the engine's flush discipline symbolically,
+//! * **Matching** — replaying the executor's flush discipline symbolically,
 //!   every receive is matched by a same-size send on its (source,
 //!   destination, tag) channel in FIFO order, no sends are left over, and
 //!   the whole exchange makes progress (deadlock-freedom under the
@@ -22,9 +22,9 @@
 //!
 //! # The flush-group model
 //!
-//! The engine posts steps non-blocking and waits at well-defined points
+//! The executor posts steps non-blocking and waits at well-defined points
 //! (round marks, computes, forwarding hazards, end of plan — see
-//! [`super::engine`]). Between two waits, a rank's posted sends and receives
+//! [`super::compiled`]). Between two waits, a rank's posted sends and receives
 //! form a *flush group*. The verifier reconstructs the same groups with the
 //! same rules and then plays a token game: a rank's group posts as soon as
 //! the previous group completed; sends buffer immediately; a group completes
@@ -231,7 +231,7 @@ struct RecvEv {
     len: usize,
 }
 
-/// One flush group: everything a rank posts between two engine waits.
+/// One flush group: everything a rank posts between two executor waits.
 #[derive(Default)]
 struct Group {
     sends: Vec<SendEv>,
@@ -347,7 +347,7 @@ pub fn verify(schedules: &[Schedule]) -> Result<ScheduleStats, VerifyError> {
                 step: i,
                 detail,
             };
-            // Mirror the engine: a receive's bytes only become *defined*
+            // Mirror the executor: a receive's bytes only become *defined*
             // (usable by later steps) after the flush that delivers them,
             // but for define-once purposes we claim them at post time.
             match step {

@@ -13,17 +13,17 @@
 //! [`crate::schedule::verify::verify_tenants`] *proves* it for arbitrary
 //! plans rather than trusting the construction.
 //!
-//! Execution reuses the one engine instead of growing a second interpreter:
+//! Execution reuses the one executor instead of growing a second one:
 //! [`merge_tenants`] splices each rank's per-tenant plans into a single
 //! [`Schedule`] — scratch buffers stacked, step lists spliced back-to-back
 //! in tenant order with **no barrier at the seams** — and [`run_tenants`]
-//! executes that merged plan with [`execute_schedule`]. Because the merged
+//! compiles that merged plan and runs it on an [`Executor`]. Because the merged
 //! plan is ordinary IR, the static verifier's deadlock/matching/data-flow
 //! guarantees apply to the *combined* execution, not just to each tenant in
 //! isolation.
 //!
 //! Why a splice and not a round-robin interleave of flush segments: the
-//! engine waits at every flush boundary, so interleaving is only safe when
+//! executor waits at every flush boundary, so interleaving is only safe when
 //! every tenant has the *same* number of segments on *every* rank — then
 //! merged group `T·s + t` means the same thing everywhere. Plans with
 //! rank-dependent phase structure (recursive multiplying's fold/unfold at
@@ -35,8 +35,7 @@
 //! peer hasn't already been sent. Cross-tenant overlap still happens across
 //! ranks, because nothing synchronizes the seam.
 
-use crate::schedule::engine::execute_schedule;
-use crate::schedule::{Schedule, SgList, Step};
+use crate::schedule::{compile, Executor, Schedule, SgList, Step};
 use exacoll_comm::{Comm, CommResult, Tag};
 
 /// Width of each tenant's tag window. Every tag a lowering emits (base +
@@ -195,7 +194,7 @@ fn offset_step(step: &Step, base: usize) -> Step {
 /// The merged plan is ordinary schedule IR, so the whole toolchain applies
 /// to the combined execution: [`crate::schedule::verify::verify`] proves
 /// the merged exchange deadlock-free, `to_trace` prices it, and
-/// [`execute_schedule`] runs it. Every rank of the shared runtime must
+/// [`run_tenants`] runs it. Every rank of the shared runtime must
 /// merge the same tenants in the same order.
 ///
 /// # Panics
@@ -267,7 +266,7 @@ pub fn run_tenants<C: Comm>(
     assert_eq!(plans.len(), inputs.len(), "one input per tenant");
     let merged = merge_tenants(plans);
     let cat: Vec<u8> = inputs.iter().flat_map(|i| i.iter().copied()).collect();
-    let out = execute_schedule(c, &merged, &cat)?;
+    let out = Executor::new().run(c, &compile(&merged), &cat)?;
     let mut outs = Vec::with_capacity(plans.len());
     let mut pos = 0;
     for s in plans {
@@ -363,7 +362,7 @@ mod tests {
         // p = 6 recursive multiplying folds ranks 4 and 5 into the q = 4
         // core, so its flush-segment count differs per rank. A round-robin
         // interleave of such a tenant with a ring allgather misaligns the
-        // engine's waits across ranks and deadlocks (the verifier catches
+        // executor's waits across ranks and deadlocks (the verifier catches
         // it); the sequential splice must verify and run.
         let p = 6;
         let n = 12;

@@ -33,8 +33,9 @@ pub const KIND_TABLE: u8 = 4;
 /// Mesh: the connecting side of a data connection announces its rank.
 pub const KIND_IDENT: u8 = 5;
 
-/// Refuse to allocate for absurd lengths: a corrupted or misaligned stream
-/// fails fast with `InvalidData` instead of an OOM.
+/// The largest payload one frame carries. Readers refuse longer lengths so a
+/// corrupted or misaligned stream fails fast with `InvalidData` instead of
+/// an OOM; writers refuse them with `InvalidInput` before writing a byte.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 
 /// Frame header size in bytes.
@@ -87,6 +88,13 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// as one vectored write (`writev`) together with the header — no
 /// intermediate payload `Vec` is ever built, and the wire bytes are
 /// identical to [`write_frame`] on the gathered payload.
+///
+/// # Errors
+///
+/// `InvalidInput`, with nothing written, when the payload exceeds
+/// [`MAX_FRAME_PAYLOAD`] — the reader would tear the connection down, and
+/// past 4 GiB the header's `u32` length would wrap; otherwise any error of
+/// `w`.
 pub fn write_frame_parts(
     w: &mut impl Write,
     kind: u8,
@@ -95,6 +103,12 @@ pub fn write_frame_parts(
     segments: &[&[u8]],
 ) -> io::Result<()> {
     let payload_len: usize = segments.iter().map(|s| s.len()).sum();
+    if payload_len > MAX_FRAME_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {payload_len} B exceeds the {MAX_FRAME_PAYLOAD} B limit"),
+        ));
+    }
     let mut header = [0u8; HEADER_LEN];
     header[0] = kind;
     header[1..5].copy_from_slice(&src.to_le_bytes());
@@ -260,6 +274,32 @@ mod tests {
         buf.truncate(buf.len() - 10);
         let mut cursor = &buf[..];
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn oversize_frames_are_refused_before_any_byte_is_written() {
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // 1025 views of one 1 MiB slice: just over the limit, one MiB
+        // allocated.
+        let mib = vec![7u8; 1 << 20];
+        let segments = vec![&mib[..]; (MAX_FRAME_PAYLOAD >> 20) + 1];
+        let mut w = Counting(0);
+        let err = write_frame_parts(&mut w, KIND_MSG, 0, 1, &segments).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.0, 0, "nothing may reach the stream");
+        // Exactly at the limit still goes out whole.
+        let segments = vec![&mib[..]; MAX_FRAME_PAYLOAD >> 20];
+        write_frame_parts(&mut w, KIND_MSG, 0, 1, &segments).unwrap();
+        assert_eq!(w.0, HEADER_LEN + MAX_FRAME_PAYLOAD);
     }
 
     #[test]

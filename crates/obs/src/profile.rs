@@ -12,7 +12,7 @@
 
 use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline, TimedComm};
 use exacoll_comm::{record_traces, try_run_ranks, Comm, ThreadComm};
-use exacoll_core::schedule::{execute_compiled, CompiledSchedule};
+use exacoll_core::schedule::{CompiledSchedule, Executor};
 use exacoll_core::spec::{OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
 use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp};
 use exacoll_models::NetParams;
@@ -191,7 +191,9 @@ pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
         let mut tc = TimedComm::with_epoch(&mut *c, epoch);
         let res = match &plans {
             None => execute(&mut tc, &args, &input).map(|_| ()),
-            Some(plans) => execute_compiled(&mut tc, &plans[rank], &input).map(|_| ()),
+            Some(plans) => Executor::new()
+                .run(&mut tc, &plans[rank], &input)
+                .map(|_| ()),
         };
         let (_, timeline) = tc.into_parts();
         slots.lock().expect("timeline collector")[rank] = Some(timeline);

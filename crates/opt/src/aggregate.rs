@@ -206,8 +206,8 @@ pub fn naive_block_exchange(p: usize, blocks: usize, bytes: usize) -> Vec<Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, probe_inputs};
     use exacoll_core::schedule::verify::verify;
+    use exacoll_core::schedule::world::{evaluate, probe_inputs};
 
     #[test]
     fn fuses_a_run_of_small_sends_into_one_message() {

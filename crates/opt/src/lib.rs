@@ -5,7 +5,9 @@
 //! deadlock-free, define-once, FIFO-matched, and tag-hygienic. That makes
 //! automated plan *rewriting* safe: a pass may transform plans
 //! aggressively, because an independent checker re-proves every guarantee
-//! afterwards and a pure evaluator re-checks byte-identical results.
+//! afterwards and the single-threaded world evaluator
+//! ([`exacoll_core::schedule::world`]) — the same executor live runs use —
+//! re-checks byte-identical results.
 //!
 //! Three passes ship today:
 //!
@@ -20,7 +22,7 @@
 //!   Bine-style.
 //!
 //! The [`PassManager`] composes passes and enforces the contract: each
-//! rewrite must (1) re-verify, (2) leave the evaluator's outputs
+//! rewrite must (1) re-verify, (2) leave the world evaluator's outputs
 //! byte-identical on rank-distinguishing probe inputs, and (3) be priced by
 //! `sim::cost` before/after so wins are quantified, not asserted. A rewrite
 //! failing (1) or (2) is *refused* — the previous plan is kept and the
@@ -28,17 +30,16 @@
 
 pub mod aggregate;
 pub mod cached;
-pub mod eval;
 pub mod pipeline;
 pub mod remap;
 
 pub use aggregate::{aggregate, naive_block_exchange};
 pub use cached::{cached_plan, cached_world};
-pub use eval::{evaluate, probe_inputs, EvalError};
 pub use pipeline::pipeline;
 pub use remap::{layout_for, remap, BlockLayout, TopoDesc};
 
 use exacoll_core::schedule::verify::{verify, ScheduleStats};
+use exacoll_core::schedule::world::{evaluate, probe_inputs};
 use exacoll_core::schedule::Schedule;
 use exacoll_core::spec::OptSpec;
 use exacoll_sim::{cost, Machine};

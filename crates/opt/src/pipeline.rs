@@ -20,17 +20,21 @@
 use crate::OptError;
 use exacoll_core::schedule::{Schedule, SgList, Step};
 
-/// Split `view` into chunks of at most `chunk` bytes, in order.
+/// Split `view` into chunks of at most `chunk` bytes, in order. An empty
+/// view stays one (empty) message: a `SendRecv` may split one half while
+/// the other half is a zero-byte message its peer still posts.
 fn chunks_of(view: &SgList, chunk: usize) -> Vec<SgList> {
     let n = view.len();
-    let mut out = Vec::with_capacity(n.div_ceil(chunk));
+    let mut out = Vec::with_capacity(n.div_ceil(chunk).max(1));
     let mut off = 0;
-    while off < n {
+    loop {
         let len = chunk.min(n - off);
         out.push(view.slice(off, len));
         off += len;
+        if off >= n {
+            return out;
+        }
     }
-    out
 }
 
 /// Apply the pipelining pass: any message strictly larger than
@@ -109,9 +113,9 @@ pub fn pipeline(schedules: &[Schedule], chunk_bytes: usize) -> Result<Vec<Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, probe_inputs};
     use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
     use exacoll_core::schedule::verify::verify;
+    use exacoll_core::schedule::world::{evaluate, probe_inputs};
 
     fn lowered(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Vec<Schedule> {
         let args = CollArgs::new(op, alg);
@@ -163,6 +167,25 @@ mod tests {
         );
         let piped = pipeline(&plans, 48).unwrap();
         verify(&piped).expect("chunked sendrecv must re-verify");
+        let inputs = probe_inputs(&plans);
+        assert_eq!(
+            evaluate(&piped, &inputs).unwrap(),
+            evaluate(&plans, &inputs).unwrap()
+        );
+    }
+
+    #[test]
+    fn zero_byte_halves_survive_a_split_partner_half() {
+        // Ragged ring allgatherv: a zero-count rank's block travels as a
+        // zero-byte message paired in a SendRecv with a block big enough to
+        // split. Dropping the empty half would leave its peer's matching
+        // post unmatched.
+        use exacoll_core::registry::lower_v;
+        let counts = [16usize, 0, 5, 9];
+        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let plans: Vec<_> = (0..4).map(|r| lower_v(&args, r, &counts)).collect();
+        let piped = pipeline(&plans, 8).unwrap();
+        verify(&piped).expect("pipelined v-plan must re-verify");
         let inputs = probe_inputs(&plans);
         assert_eq!(
             evaluate(&piped, &inputs).unwrap(),

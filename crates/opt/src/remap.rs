@@ -225,9 +225,9 @@ pub fn remap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate, probe_inputs};
     use exacoll_core::registry::{lower, Algorithm, CollArgs, CollectiveOp};
     use exacoll_core::schedule::verify::verify;
+    use exacoll_core::schedule::world::{evaluate, probe_inputs};
 
     fn lowered(op: CollectiveOp, alg: Algorithm, p: usize, n: usize) -> Vec<Schedule> {
         let args = CollArgs::new(op, alg);

@@ -1,329 +1,97 @@
-//! The deterministic dataflow evaluator: re-derives the fault-free run.
+//! The expected side of a replay: the fault-free run, re-derived.
 //!
-//! [`evaluate`] interprets every rank's lowered
-//! [`Schedule`](exacoll_core::schedule::Schedule) in a single thread,
-//! producing the exact per-rank event sequence — as [`RecordedEvent`]s, the
-//! same type the recorder emits — plus each rank's output bytes. This is
-//! the "expected" side of a replay comparison.
-//!
-//! ## Equivalence to the live engine
-//!
-//! The evaluator scatters each received payload into its destination the
-//! moment the matching send has been posted, instead of modeling the
-//! engine's flush points. The two are dataflow-equivalent:
-//!
-//! * any engine *send* whose source overlaps a pending receive's
-//!   destination triggers a flush first (the hazard rule), so by the time
-//!   the payload is gathered the receive has landed — same bytes either
-//!   way; a non-hazard send never reads a pending destination, so landing
-//!   the receive early cannot change what it gathers;
-//! * *computes* and *round marks* always flush first, so their operands see
-//!   all posted receives — which is exactly the eager-scatter state.
-//!
-//! Event *order* needs no modeling at all: the recorder logs sends and
-//! receives at posting time (receive digests are back-patched later), so
-//! the recorded order is program order, which is the order this evaluator
-//! walks.
-//!
-//! Progress uses a round-robin cursor: each pass advances every rank as far
-//! as it can; a receive blocks until the matching channel holds a payload.
-//! Channels are keyed `(from, to, tag)` in a `BTreeMap` and drained FIFO,
-//! which — together with single-threaded execution — makes the whole
-//! evaluation a pure function of `(args, p, n, inputs)`.
+//! [`evaluate`] re-lowers the artifact's collective, re-applies its
+//! optimizer passes, and runs every rank's compiled plan in the
+//! single-threaded world evaluator
+//! ([`exacoll_core::schedule::world`]) with each rank's loopback wrapped in
+//! the same [`RecordComm`] a live recording uses. The expected event logs
+//! are produced by the executor and recorder that produced the observed
+//! ones, so a fault-free live run matches them by construction, and the
+//! evaluation is a pure function of the artifact: no threads, no network.
 
+use crate::artifact::Artifact;
 use crate::ReplayError;
-use exacoll_comm::{fnv1a, reduce_into, RecordedEvent};
-use exacoll_core::registry::{lower, CollArgs};
-use exacoll_core::schedule::{ComputeKind, Schedule, Step};
-use exacoll_core::spec::OptSpec;
-use exacoll_opt::apply_opt_spec;
-use std::collections::{BTreeMap, VecDeque};
+use exacoll_comm::{RecordComm, RecordedEvent};
+use exacoll_core::schedule::world::run_world;
+use exacoll_opt::cached_world;
 
 /// The fault-free run: per-rank expected events and output bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evaluated {
-    /// Expected event log per rank, in program order.
+    /// Expected event log per rank, in posting order.
     pub events: Vec<Vec<RecordedEvent>>,
     /// Output bytes per rank.
     pub outputs: Vec<Vec<u8>>,
 }
 
-struct RankState {
-    sched: Schedule,
-    buf: Vec<u8>,
-    /// Next step to execute.
-    pc: usize,
-    /// A `SendRecv` whose send half has been posted but whose receive is
-    /// still waiting for its payload.
-    sent_half: bool,
-    events: Vec<RecordedEvent>,
-}
-
-/// Statically evaluate `args` over `p` ranks with `n` input bytes each.
-///
-/// `inputs[r]` is rank `r`'s raw input; it must be at least as long as the
-/// schedule's input view (extra bytes are ignored, matching the engine).
+/// Re-derive the fault-free run of `artifact` from its recorded inputs,
+/// through the plan that actually ran (the stock lowering rewritten by the
+/// recorded passes).
 ///
 /// # Errors
 ///
 /// [`ReplayError::Unsupported`] if the registry rejects the combination,
-/// [`ReplayError::Eval`] on reduction errors, and [`ReplayError::Stuck`] if
-/// the schedules deadlock against each other (a lowering bug — lowered
-/// schedules are verified deadlock-free, so this should never fire).
-pub fn evaluate(
-    args: &CollArgs,
-    p: usize,
-    n: usize,
-    inputs: &[Vec<u8>],
-) -> Result<Evaluated, ReplayError> {
-    evaluate_opt(args, p, n, &OptSpec::NONE, 1, 1, inputs)
-}
-
-/// [`evaluate`] over the *optimizer-rewritten* plans: lower every rank,
-/// apply the recorded passes (`opt` with thresholds `chunk`/`fuse`), then
-/// interpret the rewritten schedules. Replaying an optimized artifact must
-/// compare against the plan that actually ran — chunked sends post
-/// different event sequences than the stock lowering, even though the
-/// output bytes are identical.
-pub fn evaluate_opt(
-    args: &CollArgs,
-    p: usize,
-    n: usize,
-    opt: &OptSpec,
-    chunk: usize,
-    fuse: usize,
-    inputs: &[Vec<u8>],
-) -> Result<Evaluated, ReplayError> {
+/// [`ReplayError::Header`] if the recorded passes reject their parameters,
+/// and [`ReplayError::World`] if the world evaluator fails — a rank input
+/// shorter than its plan's input view (a malformed artifact), or a
+/// deadlock, size mismatch or reduction error (a lowering bug).
+pub fn evaluate(artifact: &Artifact) -> Result<Evaluated, ReplayError> {
+    let (args, p) = (&artifact.args, artifact.p);
     args.alg
         .supports(args.op, p)
         .map_err(ReplayError::Unsupported)?;
-    assert_eq!(inputs.len(), p, "need one input buffer per rank");
-    let plans: Vec<Schedule> = (0..p).map(|r| lower(args, p, r, n)).collect();
-    let plans = apply_opt_spec(&plans, opt, chunk, fuse)
-        .map_err(|e| ReplayError::Header(format!("optimizer passes failed: {e}")))?;
-
-    let mut ranks: Vec<RankState> = plans
+    let plans = cached_world(
+        args,
+        &artifact.opt,
+        artifact.opt_chunk,
+        artifact.opt_fuse,
+        p,
+        artifact.n,
+    )
+    .map_err(|e| ReplayError::Header(format!("optimizer passes failed: {e}")))?;
+    let inputs: Vec<Vec<u8>> = artifact.ranks.iter().map(|l| l.input.clone()).collect();
+    let ranks = run_world(&plans, &inputs, RecordComm::new).map_err(ReplayError::World)?;
+    let (outputs, events) = ranks
         .into_iter()
-        .enumerate()
-        .map(|(r, sched)| {
-            let mut buf = vec![0u8; sched.buf_len];
-            assert!(
-                inputs[r].len() >= sched.input.len(),
-                "rank {r} input is {} bytes but the schedule consumes {}",
-                inputs[r].len(),
-                sched.input.len()
-            );
-            sched.input.scatter_to(&mut buf, &inputs[r]);
-            RankState {
-                sched,
-                buf,
-                pc: 0,
-                sent_half: false,
-                events: Vec::new(),
-            }
-        })
-        .collect();
-
-    // In-flight payloads: (from, to, tag) → FIFO of message bytes.
-    let mut chans: BTreeMap<(usize, usize, u32), VecDeque<Vec<u8>>> = BTreeMap::new();
-
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for (r, state) in ranks.iter_mut().enumerate() {
-            progressed |= advance(r, state, &mut chans)?;
-            all_done &= state.pc == state.sched.steps.len();
-        }
-        if all_done {
-            break;
-        }
-        if !progressed {
-            let blocked = ranks
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.pc < s.sched.steps.len())
-                .map(|(r, _)| r)
-                .collect();
-            return Err(ReplayError::Stuck { blocked });
-        }
-    }
-
-    let outputs = ranks
-        .iter()
-        .map(|s| s.sched.output.gather_from(&s.buf))
-        .collect();
-    let events = ranks.into_iter().map(|s| s.events).collect();
+        .map(|(out, recorder)| (out, recorder.finish()))
+        .unzip();
     Ok(Evaluated { events, outputs })
-}
-
-/// Run rank `r` forward until it blocks on a receive or finishes.
-/// Returns whether any step (or half-step) executed.
-fn advance(
-    r: usize,
-    st: &mut RankState,
-    chans: &mut BTreeMap<(usize, usize, u32), VecDeque<Vec<u8>>>,
-) -> Result<bool, ReplayError> {
-    let mut progressed = false;
-    while st.pc < st.sched.steps.len() {
-        // Clone the step to release the borrow on `st.sched` while mutating
-        // `st.buf`/`st.events`; steps are small (SgLists of a few ranges).
-        let step = st.sched.steps[st.pc].clone();
-        match step {
-            Step::Send { to, tag, src } => {
-                let payload = src.gather_from(&st.buf);
-                st.events.push(RecordedEvent::Send {
-                    to,
-                    tag,
-                    bytes: payload.len(),
-                    digest: fnv1a(&payload),
-                });
-                chans.entry((r, to, tag)).or_default().push_back(payload);
-            }
-            Step::Recv { from, tag, dst } => {
-                let Some(payload) = chans.entry((from, r, tag)).or_default().pop_front() else {
-                    return Ok(progressed);
-                };
-                st.events.push(RecordedEvent::Recv {
-                    from,
-                    tag,
-                    bytes: payload.len(),
-                    digest: Some(fnv1a(&payload)),
-                });
-                dst.scatter_to(&mut st.buf, &payload);
-            }
-            Step::SendRecv {
-                to,
-                send_tag,
-                src,
-                from,
-                recv_tag,
-                dst,
-            } => {
-                if !st.sent_half {
-                    let payload = src.gather_from(&st.buf);
-                    st.events.push(RecordedEvent::Send {
-                        to,
-                        tag: send_tag,
-                        bytes: payload.len(),
-                        digest: fnv1a(&payload),
-                    });
-                    chans
-                        .entry((r, to, send_tag))
-                        .or_default()
-                        .push_back(payload);
-                    st.sent_half = true;
-                    progressed = true;
-                }
-                let Some(payload) = chans.entry((from, r, recv_tag)).or_default().pop_front()
-                else {
-                    return Ok(progressed);
-                };
-                st.events.push(RecordedEvent::Recv {
-                    from,
-                    tag: recv_tag,
-                    bytes: payload.len(),
-                    digest: Some(fnv1a(&payload)),
-                });
-                dst.scatter_to(&mut st.buf, &payload);
-                st.sent_half = false;
-            }
-            Step::Compute { kind, src, dst } => match kind {
-                ComputeKind::Copy => {
-                    let bytes = src.gather_from(&st.buf);
-                    dst.scatter_to(&mut st.buf, &bytes);
-                }
-                ComputeKind::Reduce { dtype, op } => {
-                    let src_bytes = src.gather_from(&st.buf);
-                    let mut dst_bytes = dst.gather_from(&st.buf);
-                    reduce_into(dtype, op, &mut dst_bytes, &src_bytes)
-                        .map_err(|e| ReplayError::Eval(e.to_string()))?;
-                    dst.scatter_to(&mut st.buf, &dst_bytes);
-                    st.events.push(RecordedEvent::Compute { bytes: dst.len() });
-                }
-            },
-            Step::RoundMark { label, round } => {
-                st.events.push(RecordedEvent::Mark {
-                    label: label.to_string(),
-                    round,
-                });
-            }
-        }
-        st.pc += 1;
-        progressed = true;
-    }
-    Ok(progressed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exacoll_comm::{run_ranks, Comm, RecordComm, ThreadComm};
-    use exacoll_core::registry::{execute, Algorithm, CollectiveOp};
-
-    fn inputs(p: usize, n: usize) -> Vec<Vec<u8>> {
-        (0..p)
-            .map(|r| (0..n).map(|i| (r * 37 + i * 11) as u8).collect())
-            .collect()
-    }
-
-    /// The evaluator must reproduce, event for event and digest for digest,
-    /// what a live recorded run logs — that equivalence is the entire basis
-    /// of replay. Cross-check a representative spread of algorithms.
-    #[test]
-    fn matches_live_recorded_runs() {
-        let cases = [
-            (CollectiveOp::Bcast, Algorithm::KnomialTree { k: 3 }),
-            (CollectiveOp::Allgather, Algorithm::Ring),
-            (CollectiveOp::Allgather, Algorithm::Bruck),
-            (
-                CollectiveOp::Allreduce,
-                Algorithm::RecursiveMultiplying { k: 2 },
-            ),
-            (CollectiveOp::Allreduce, Algorithm::KRing { k: 2 }),
-            (CollectiveOp::Reduce, Algorithm::KnomialTree { k: 2 }),
-            (CollectiveOp::Alltoall, Algorithm::GeneralizedBruck { r: 2 }),
-            (CollectiveOp::Alltoall, Algorithm::Pairwise),
-            (CollectiveOp::Barrier, Algorithm::Dissemination { k: 2 }),
-        ];
-        let (p, n) = (6, 12);
-        for (op, alg) in cases {
-            let args = CollArgs::new(op, alg);
-            let ins = inputs(p, n);
-            let expected = evaluate(&args, p, n, &ins).unwrap();
-            let live: Vec<(Vec<RecordedEvent>, Vec<u8>)> = run_ranks(p, |c: &mut ThreadComm| {
-                let input = ins[c.rank()].clone();
-                let mut rc = RecordComm::new(&mut *c);
-                let out = execute(&mut rc, &args, &input)?;
-                Ok((rc.finish(), out))
-            });
-            for (r, (events, out)) in live.iter().enumerate() {
-                assert_eq!(
-                    &expected.events[r], events,
-                    "{op} {alg:?} rank {r}: event streams differ"
-                );
-                assert_eq!(
-                    &expected.outputs[r], out,
-                    "{op} {alg:?} rank {r}: outputs differ"
-                );
-            }
-        }
-    }
+    use crate::record::record_thread_run;
+    use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
+    use exacoll_core::schedule::world::WorldError;
 
     #[test]
     fn evaluation_is_deterministic() {
         let args = CollArgs::new(CollectiveOp::Allreduce, Algorithm::KRing { k: 3 });
-        let ins = inputs(6, 24);
-        let a = evaluate(&args, 6, 24, &ins).unwrap();
-        let b = evaluate(&args, 6, 24, &ins).unwrap();
-        assert_eq!(a, b);
+        let a = record_thread_run(&args, 6, 24, 5);
+        assert_eq!(evaluate(&a).unwrap(), evaluate(&a).unwrap());
     }
 
     #[test]
     fn unsupported_combinations_are_rejected() {
-        let args = CollArgs::new(CollectiveOp::Alltoall, Algorithm::Ring);
-        assert!(matches!(
-            evaluate(&args, 4, 8, &inputs(4, 8)),
-            Err(ReplayError::Unsupported(_))
-        ));
+        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let mut a = record_thread_run(&args, 4, 8, 1);
+        a.args.op = CollectiveOp::Alltoall;
+        assert!(matches!(evaluate(&a), Err(ReplayError::Unsupported(_))));
+    }
+
+    #[test]
+    fn short_rank_input_is_a_typed_error() {
+        let args = CollArgs::new(CollectiveOp::Allgather, Algorithm::Ring);
+        let mut a = record_thread_run(&args, 4, 8, 1);
+        a.ranks[2].input.truncate(3);
+        assert_eq!(
+            evaluate(&a).unwrap_err(),
+            ReplayError::World(WorldError::ShortInput {
+                rank: 2,
+                need: 8,
+                got: 3
+            })
+        );
     }
 }

@@ -6,10 +6,11 @@
 //! re-executed — on a different machine, with no network and no threads —
 //! against the lowered [`Schedule`](exacoll_core::schedule::Schedule) IR.
 //!
-//! Replay is a *pure function*: [`evaluate::evaluate`] interprets every
-//! rank's schedule in one deterministic single-threaded pass over the
-//! artifact's recorded inputs, deriving the exact per-rank event sequence
-//! and payload digests a fault-free execution produces. [`replay::replay`]
+//! Replay is a *pure function*: [`evaluate::evaluate`] runs every rank's
+//! compiled plan in the single-threaded world evaluator over the artifact's
+//! recorded inputs, under the same recorder a live run uses, deriving the
+//! exact per-rank event sequence and payload digests a fault-free execution
+//! produces. [`replay::replay`]
 //! then compares the recorded logs element by element and reports each
 //! [`replay::Divergence`] as a (rank, step) pair with expected-vs-observed
 //! digests and a one-line explanation. Replaying the same artifact twice
@@ -28,10 +29,11 @@ pub mod record;
 pub mod replay;
 
 pub use artifact::{Artifact, RankLog, RankStatus};
-pub use evaluate::{evaluate, evaluate_opt, Evaluated};
+pub use evaluate::{evaluate, Evaluated};
 pub use record::{payload, record_thread_run, record_thread_run_opt, RecordOptions};
 pub use replay::{replay, Divergence, ReplayReport};
 
+use exacoll_core::schedule::world::WorldError;
 use std::fmt;
 
 /// Why an artifact could not be replayed at all (as opposed to replaying
@@ -72,16 +74,11 @@ pub enum ReplayError {
     /// The artifact's (collective, algorithm, p) combination is not
     /// supported by the registry, so no schedule exists to replay against.
     Unsupported(String),
-    /// The dataflow evaluator wedged: some rank's schedule blocks on a
-    /// message no other rank's schedule ever sends. This indicates a
-    /// lowering bug, not a bad artifact.
-    Stuck {
-        /// Ranks still mid-schedule when no progress was possible.
-        blocked: Vec<usize>,
-    },
-    /// The dataflow evaluator hit a reduction error (operator/dtype
-    /// mismatch) while recomputing the fault-free run.
-    Eval(String),
+    /// The world evaluator could not re-derive the fault-free run: a rank's
+    /// recorded input is shorter than its plan's input view (a malformed
+    /// artifact), or the plans deadlock, mismatch sizes, or fail a
+    /// reduction (a lowering bug).
+    World(WorldError),
 }
 
 impl fmt::Display for ReplayError {
@@ -111,11 +108,7 @@ impl fmt::Display for ReplayError {
                 "truncated log: rank {rank} declares {declared} events but holds {found} — artifact cut off mid-write, refusing to replay"
             ),
             ReplayError::Unsupported(msg) => write!(f, "cannot re-lower schedule: {msg}"),
-            ReplayError::Stuck { blocked } => write!(
-                f,
-                "dataflow evaluator stuck with ranks {blocked:?} mid-schedule (lowering bug?)"
-            ),
-            ReplayError::Eval(msg) => write!(f, "dataflow evaluation failed: {msg}"),
+            ReplayError::World(e) => write!(f, "cannot re-derive the fault-free run: {e}"),
         }
     }
 }

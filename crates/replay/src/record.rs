@@ -8,8 +8,8 @@
 use crate::artifact::{Artifact, RankLog, RankStatus};
 use exacoll_comm::{fnv1a, run_ranks, Comm, RecordComm, ThreadComm};
 use exacoll_core::registry::CollArgs;
-use exacoll_core::schedule::execute_compiled;
 use exacoll_core::spec::{OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
+use exacoll_core::Executor;
 use exacoll_opt::cached_world;
 
 /// Deterministic pseudo-random input for `rank`: a SplitMix64 stream keyed
@@ -76,17 +76,16 @@ pub fn record_thread_run_opt(
     args.alg
         .supports(args.op, p)
         .unwrap_or_else(|e| panic!("unsupported configuration: {e}"));
-    // Plain and optimized recordings both execute cached compiled plans:
-    // the compiled path emits the same op stream as the interpreter, so
-    // artifacts replay identically, and repeated recordings of one shape
-    // (the property-test grids) lower once.
+    // Plain and optimized recordings both execute cached compiled plans, so
+    // repeated recordings of one shape (the property-test grids) lower
+    // once.
     let plans = cached_world(args, &ropts.opt, ropts.chunk, ropts.fuse, p, n)
         .unwrap_or_else(|e| panic!("optimizer passes failed: {e}"));
     let logs = run_ranks(p, |c: &mut ThreadComm| {
         let rank = c.rank();
         let input = payload(seed, rank, n);
         let mut rc = RecordComm::new(&mut *c);
-        let out = execute_compiled(&mut rc, &plans[rank], &input)?;
+        let out = Executor::new().run(&mut rc, &plans[rank], &input)?;
         Ok((rank, input, fnv1a(&out), rc.finish()))
     });
     let ranks = logs

@@ -1,15 +1,15 @@
 //! The replayer: recorded logs vs recomputed dataflow, step by step.
 //!
 //! [`replay`] re-lowers the artifact's (collective, algorithm, p, n) to the
-//! per-rank schedule IR, evaluates the fault-free dataflow over the
-//! artifact's recorded inputs, and walks each rank's recorded log against
-//! the expected event sequence. The first mismatch per rank becomes a
-//! [`Divergence`]; the report's headline is the globally first divergence
-//! by `(step, rank)` — deterministic, so replaying an artifact twice
-//! renders byte-identical reports.
+//! per-rank schedule IR, re-derives the fault-free run over the artifact's
+//! recorded inputs ([`crate::evaluate::evaluate`]), and walks each rank's
+//! recorded log against the expected event sequence. The first mismatch
+//! per rank becomes a [`Divergence`]; the report's headline is the globally
+//! first divergence by `(step, rank)` — deterministic, so replaying an
+//! artifact twice renders byte-identical reports.
 
 use crate::artifact::{hex_digest, Artifact, RankStatus};
-use crate::evaluate::evaluate_opt;
+use crate::evaluate::evaluate;
 use crate::ReplayError;
 use exacoll_comm::{fnv1a, RecordedEvent};
 
@@ -89,18 +89,9 @@ impl ReplayReport {
 /// (gaps, truncation) were already rejected at parse time.
 pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
     let p = artifact.p;
-    let inputs: Vec<Vec<u8>> = artifact.ranks.iter().map(|l| l.input.clone()).collect();
-    // Re-apply the artifact's optimizer passes so the expected event stream
-    // comes from the plan that actually ran.
-    let expected = evaluate_opt(
-        &artifact.args,
-        p,
-        artifact.n,
-        &artifact.opt,
-        artifact.opt_chunk,
-        artifact.opt_fuse,
-        &inputs,
-    )?;
+    // The expected stream comes from the plan that actually ran: the
+    // artifact's optimizer passes are re-applied.
+    let expected = evaluate(artifact)?;
 
     let mut divergences = Vec::new();
     let mut events_checked = 0usize;
@@ -263,6 +254,7 @@ mod tests {
     use super::*;
     use crate::record::record_thread_run;
     use exacoll_core::registry::{Algorithm, CollArgs, CollectiveOp};
+    use exacoll_core::schedule::world::WorldError;
 
     fn clean_artifact() -> Artifact {
         let args = CollArgs::new(
@@ -353,6 +345,26 @@ mod tests {
         assert_eq!(h.rank, 3);
         assert_eq!(h.step, a.ranks[3].events.len());
         assert!(h.explanation.contains("final output differs"));
+    }
+
+    #[test]
+    fn artifact_with_a_short_input_is_an_error_not_a_panic() {
+        // A hand-edited or cut-off artifact: rank 1's hex input lost bytes.
+        let mut a = clean_artifact();
+        a.ranks[1].input.truncate(5);
+        let parsed = Artifact::from_json(&a.to_json()).unwrap();
+        let err = replay(&parsed).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ReplayError::World(WorldError::ShortInput {
+                    rank: 1,
+                    need: 8,
+                    got: 5
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! running it on a live backend first.
 //!
 //! `exacoll_core::registry::lower` produces every rank's communication plan;
-//! [`cost`] replays those plans on the trace recorder (via
-//! [`Schedule::to_trace`], which runs the *real* execution engine over a
-//! `TraceComm`) and feeds the result to the discrete-event simulator. The
-//! op stream being simulated is therefore — by construction — exactly the
-//! op stream a live run would issue, with no data movement and no threads.
+//! [`cost`] runs those plans on the trace recorder (via
+//! [`Schedule::to_trace`], which compiles each plan and runs it on the same
+//! `Executor` live backends use, over a `TraceComm`) and feeds the result
+//! to the discrete-event simulator. The op stream being simulated is
+//! therefore — by construction — exactly the op stream a live run would
+//! issue, with no threads.
 
 use crate::machine::Machine;
 use crate::replay::{simulate, ReplayError, SimOutcome};

@@ -13,7 +13,7 @@
 //! cargo run --release --example cg_solver
 //! ```
 
-use exacoll::collectives::allreduce::allreduce_recmult;
+use exacoll::collectives::{execute, Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{buffer, run_ranks, Comm, CommResult, DType, ReduceOp, ThreadComm};
 
 const RANKS: usize = 8;
@@ -23,7 +23,15 @@ const RADIX: usize = 4; // recursive-multiplying radix
 /// Global dot product via recursive-multiplying allreduce.
 fn dot<C: Comm>(c: &mut C, a: &[f64], b: &[f64]) -> CommResult<f64> {
     let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let out = allreduce_recmult(c, RADIX, &local.to_le_bytes(), DType::F64, ReduceOp::Sum)?;
+    let args = CollArgs {
+        dtype: DType::F64,
+        rop: ReduceOp::Sum,
+        ..CollArgs::new(
+            CollectiveOp::Allreduce,
+            Algorithm::RecursiveMultiplying { k: RADIX },
+        )
+    };
+    let out = execute(c, &args, &local.to_le_bytes())?;
     Ok(buffer::bytes_f64(&out)[0])
 }
 

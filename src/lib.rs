@@ -23,8 +23,8 @@
 //!   runtime with a length-prefixed wire protocol, rendezvous bootstrap,
 //!   and a per-peer progress engine.
 //! * [`replay`] — deterministic record/replay: self-contained artifacts of
-//!   per-rank event logs, a schedule-IR dataflow evaluator, and step-level
-//!   divergence detection.
+//!   per-rank event logs, re-derived expectations from the single-threaded
+//!   world evaluator, and step-level divergence detection.
 //! * [`opt`] — the schedule-IR optimizer: verified pipelining, message
 //!   aggregation, and locality-remapping passes composed by a
 //!   `PassManager` that re-verifies and byte-checks every rewrite.

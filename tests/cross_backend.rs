@@ -65,10 +65,10 @@ fn every_candidate_agrees_on_both_backends() {
 #[test]
 fn pre_lowered_schedules_execute_over_real_sockets() {
     // The schedule IR is transport-agnostic: plans lowered once, ahead of
-    // time, must run unmodified through the generic engine on the TCP
-    // runtime and still match the sequential reference.
+    // time and compiled, must run unmodified through the executor on the
+    // TCP runtime and still match the sequential reference.
     use exacoll::collectives::registry::lower;
-    use exacoll::collectives::schedule::engine::execute_schedule;
+    use exacoll::collectives::schedule::{compile, Executor};
     use exacoll::collectives::Algorithm;
 
     let p = 4;
@@ -87,9 +87,9 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let n = inputs[0].len();
-        let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
+        let plans: Vec<_> = (0..p).map(|r| compile(&lower(&args, p, r, n))).collect();
         let out = run_socket_ranks(p, |c| {
-            execute_schedule(c, &plans[c.rank()], &inputs[c.rank()])
+            Executor::new().run(c, &plans[c.rank()], &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(
@@ -104,10 +104,10 @@ fn pre_lowered_schedules_execute_over_real_sockets() {
 fn pipelined_plans_execute_over_real_sockets() {
     // Optimizer-rewritten plans are as transport-agnostic as stock ones:
     // chunk the big ring blocks well below the payload size, run the
-    // rewritten plans through the generic engine on the TCP runtime, and
-    // the outputs must still match the sequential reference byte for byte.
+    // rewritten plans through the executor on the TCP runtime, and the
+    // outputs must still match the sequential reference byte for byte.
     use exacoll::collectives::registry::lower;
-    use exacoll::collectives::schedule::engine::execute_schedule;
+    use exacoll::collectives::schedule::{compile, Executor};
     use exacoll::collectives::spec::OptSpec;
     use exacoll::collectives::Algorithm;
     use exacoll::opt::apply_opt_spec;
@@ -129,8 +129,9 @@ fn pipelined_plans_execute_over_real_sockets() {
         let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
         let piped = apply_opt_spec(&plans, &OptSpec::PIPELINE, chunk, 1).expect("pipelining runs");
         assert_ne!(piped, plans, "{op} {alg}: chunking must bite at {chunk} B");
+        let piped: Vec<_> = piped.iter().map(compile).collect();
         let out = run_socket_ranks(p, |c| {
-            execute_schedule(c, &piped[c.rank()], &inputs[c.rank()])
+            Executor::new().run(c, &piped[c.rank()], &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(
@@ -150,7 +151,7 @@ fn compiled_plans_with_scatter_gather_sends_agree_on_both_backends() {
     // match the sequential reference — and the threaded backend, which
     // takes the gather-copy default `send_sg` — byte for byte.
     use exacoll::collectives::registry::lower;
-    use exacoll::collectives::schedule::{compile, execute_compiled};
+    use exacoll::collectives::schedule::{compile, Executor};
     use exacoll::collectives::spec::OptSpec;
     use exacoll::collectives::Algorithm;
     use exacoll::opt::apply_opt_spec;
@@ -177,10 +178,10 @@ fn compiled_plans_with_scatter_gather_sends_agree_on_both_backends() {
         let plans = apply_opt_spec(&plans, &fused, 1, 4096).expect("aggregation runs");
         let compiled: Vec<_> = plans.iter().map(compile).collect();
         let thread_out = run_ranks(p, |c| {
-            execute_compiled(c, &compiled[c.rank()], &inputs[c.rank()])
+            Executor::new().run(c, &compiled[c.rank()], &inputs[c.rank()])
         });
         let socket_out = run_socket_ranks(p, |c| {
-            execute_compiled(c, &compiled[c.rank()], &inputs[c.rank()])
+            Executor::new().run(c, &compiled[c.rank()], &inputs[c.rank()])
         });
         for r in 0..p {
             assert_eq!(

@@ -7,7 +7,9 @@
 //! plans disagree on the count vector.
 
 use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
-use exacoll::collectives::registry::{execute_v, lower, lower_v, supports_v, unique_candidates_v};
+use exacoll::collectives::registry::{
+    execute, execute_v, lower, lower_v, supports_v, unique_candidates_v,
+};
 use exacoll::collectives::schedule::verify::verify;
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
@@ -93,12 +95,7 @@ proptest! {
             .expect("reference computes");
         let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, n)).collect();
         verify(&plans).expect("generalized allreduce verifies");
-        let got = run_ranks(p, |c| {
-            let plan = lower(&args, p, c.rank(), n);
-            exacoll::collectives::schedule::engine::execute_schedule(
-                c, &plan, &inputs[c.rank()],
-            )
-        });
+        let got = run_ranks(p, |c| execute(c, &args, &inputs[c.rank()]));
         for r in 0..p {
             prop_assert_eq!(&got[r], &expect[r], "genmult:{} p={} n={} rank {}", k, p, n, r);
         }
@@ -149,10 +146,7 @@ fn generalized_allreduce_matches_reference_on_sockets() {
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, n)).collect();
         let expect = expected_outputs(args.op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
-        let got = run_socket_ranks(p, |c| {
-            let plan = lower(&args, p, c.rank(), n);
-            exacoll::collectives::schedule::engine::execute_schedule(c, &plan, &inputs[c.rank()])
-        });
+        let got = run_socket_ranks(p, |c| execute(c, &args, &inputs[c.rank()]));
         for r in 0..p {
             assert_eq!(got[r], expect[r], "genmult:{k} p={p} rank {r} over sockets");
         }

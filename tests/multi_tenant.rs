@@ -8,7 +8,8 @@
 use exacoll::collectives::reference::{expected_outputs, expected_outputs_v};
 use exacoll::collectives::registry::{lower, lower_v};
 use exacoll::collectives::schedule::verify::{verify, verify_tenants, TenantPlans, VerifyError};
-use exacoll::collectives::schedule::{engine::execute_schedule, Schedule};
+use exacoll::collectives::schedule::world::{evaluate, run_world};
+use exacoll::collectives::schedule::{compile, CompiledSchedule, Executor, Schedule};
 use exacoll::collectives::{merge_tenants, run_tenants, Algorithm, CollArgs, CollectiveOp, Tenant};
 use exacoll::comm::{run_ranks, Comm, RecordComm, RecordedEvent};
 use exacoll::net::run_socket_ranks;
@@ -113,8 +114,28 @@ fn tenant_world(
     (plans, live_inputs, ref_inputs)
 }
 
-/// Run `workloads` as tenants of one shared runtime on both backends and
-/// check every tenant's output against its solo reference.
+/// Each rank's merged inputs: its tenant inputs concatenated in tenant order.
+fn concat_inputs(live_inputs: &[Vec<Vec<u8>>], p: usize) -> Vec<Vec<u8>> {
+    (0..p)
+        .map(|r| live_inputs.iter().flat_map(|ins| ins[r].clone()).collect())
+        .collect()
+}
+
+/// Split one rank's merged output back into its per-tenant outputs.
+fn split_outputs(merged: &[u8], tenant_plans: &[Schedule]) -> Vec<Vec<u8>> {
+    let mut pos = 0;
+    tenant_plans
+        .iter()
+        .map(|s| {
+            pos += s.output.len();
+            merged[pos - s.output.len()..pos].to_vec()
+        })
+        .collect()
+}
+
+/// Run `workloads` as tenants of one shared runtime on both backends and in
+/// the single-threaded world evaluator, and check every tenant's output
+/// against its solo reference.
 fn check_tenancy(workloads: &[Workload], p: usize) {
     for w in workloads {
         assert_eq!(w.ranks(p), p, "every tenant must span the shared runtime");
@@ -174,6 +195,15 @@ fn check_tenancy(workloads: &[Workload], p: usize) {
             run_tenants(c, &plans[c.rank()], &per_tenant)
         }),
         "sockets",
+    );
+    let world = evaluate(&merged, &concat_inputs(&live_inputs, p)).expect("merged plans evaluate");
+    run(
+        world
+            .iter()
+            .zip(&plans)
+            .map(|(out, tenant_plans)| split_outputs(out, tenant_plans))
+            .collect(),
+        "the world evaluator",
     );
 }
 
@@ -293,8 +323,8 @@ proptest! {
 
 /// A multi-tenant execution records cleanly and deterministically: two
 /// recordings of the same merged plan produce identical event logs, and
-/// the pure dataflow evaluator "replays" the merged plans to the same
-/// bytes the live run produced.
+/// the world evaluator under the same recorder "replays" the merged plans
+/// to the same events and bytes the live run produced.
 #[test]
 fn tenant_runs_record_and_replay_cleanly() {
     let p = 4;
@@ -307,21 +337,15 @@ fn tenant_runs_record_and_replay_cleanly() {
         ),
     ];
     let (plans, live_inputs, _) = tenant_world(&workloads, p);
-    let merged: Vec<Schedule> = (0..p).map(|r| merge_tenants(&plans[r])).collect();
-    let cat: Vec<Vec<u8>> = (0..p)
-        .map(|r| {
-            live_inputs
-                .iter()
-                .flat_map(|ins| ins[r].iter().copied())
-                .collect()
-        })
-        .collect();
+    let merged: Vec<CompiledSchedule> =
+        (0..p).map(|r| compile(&merge_tenants(&plans[r]))).collect();
+    let cat = concat_inputs(&live_inputs, p);
 
     let record = || -> Vec<(Vec<u8>, Vec<RecordedEvent>)> {
         run_ranks(p, |c| {
             let r = c.rank();
             let mut rc = RecordComm::new(&mut *c);
-            let out = execute_schedule(&mut rc, &merged[r], &cat[r])?;
+            let out = Executor::new().run(&mut rc, &merged[r], &cat[r])?;
             Ok((out, rc.finish()))
         })
     };
@@ -335,12 +359,14 @@ fn tenant_runs_record_and_replay_cleanly() {
         );
     }
 
-    // Replay through the pure evaluator: no communicator, same bytes.
-    let replayed = exacoll::opt::evaluate(&merged, &cat).expect("merged plans evaluate");
-    for r in 0..p {
+    // Replay in the world evaluator: no communicator, same events and bytes.
+    let replayed = run_world(&merged, &cat, RecordComm::new).expect("merged plans evaluate");
+    for (r, (out, recorder)) in replayed.iter().enumerate() {
+        assert_eq!(out, &first[r].0, "rank {r} replay diverged from live run");
         assert_eq!(
-            replayed[r], first[r].0,
-            "rank {r} replay diverged from live run"
+            recorder.events(),
+            &first[r].1[..],
+            "rank {r} replayed events diverged from the live log"
         );
     }
 }

@@ -5,7 +5,7 @@
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower};
-use exacoll::collectives::schedule::engine::execute_schedule;
+use exacoll::collectives::schedule::{compile, Executor};
 use exacoll::collectives::spec::OptSpec;
 use exacoll::collectives::{Algorithm, CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
@@ -54,12 +54,16 @@ proptest! {
         let len = input_len(op, p, n);
         let args = CollArgs::new(op, alg);
         let plans: Vec<_> = (0..p).map(|r| lower(&args, p, r, len)).collect();
-        let rewritten = apply_opt_spec(&plans, &opt, chunk, fuse).expect("passes run");
+        let rewritten: Vec<_> = apply_opt_spec(&plans, &opt, chunk, fuse)
+            .expect("passes run")
+            .iter()
+            .map(compile)
+            .collect();
         let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, len)).collect();
         let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
             .expect("reference computes");
         let out = run_ranks(p, |c| {
-            execute_schedule(c, &rewritten[c.rank()], &inputs[c.rank()])
+            Executor::new().run(c, &rewritten[c.rank()], &inputs[c.rank()])
         });
         for r in 0..p {
             prop_assert_eq!(
@@ -103,8 +107,9 @@ fn full_pass_pipeline_survives_the_manager_gate_and_runs() {
     let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, len)).collect();
     let expect =
         expected_outputs(op, args.root, args.dtype, args.rop, &inputs).expect("reference computes");
+    let compiled: Vec<_> = report.schedules.iter().map(compile).collect();
     let out = run_ranks(p, |c| {
-        execute_schedule(c, &report.schedules[c.rank()], &inputs[c.rank()])
+        Executor::new().run(c, &compiled[c.rank()], &inputs[c.rank()])
     });
     for r in 0..p {
         assert_eq!(out[r], expect[r], "optimized run diverged at rank {r}");

@@ -8,18 +8,17 @@
 //!    deadlock-free, tag-hygienic, and covers every output byte, for every
 //!    (collective, algorithm, p, k) the registry offers, without running
 //!    anything.
-//! 2. **Dynamic fidelity** — executing the same plans through the generic
-//!    engine on the threaded runtime reproduces the sequential reference
-//!    byte for byte.
+//! 2. **Dynamic fidelity** — compiling the same plans and running them
+//!    through the executor on the threaded runtime reproduces the
+//!    sequential reference byte for byte.
 //! 3. **Analytical utility** — the verifier's α/β/γ term counts price into
 //!    a finite positive prediction, and direct IR costing agrees with
 //!    simulating a recorded live run.
 
 use exacoll::collectives::reference::expected_outputs;
 use exacoll::collectives::registry::{candidates, lower, unique_candidates};
-use exacoll::collectives::schedule::engine::execute_schedule;
 use exacoll::collectives::schedule::verify::verify;
-use exacoll::collectives::schedule::Schedule;
+use exacoll::collectives::schedule::{compile, Executor, Schedule};
 use exacoll::collectives::{CollArgs, CollectiveOp};
 use exacoll::comm::{run_ranks, Comm};
 use exacoll::models::{predict_from_stats, NetParams};
@@ -81,9 +80,9 @@ fn engine_reproduces_the_sequential_reference_on_threads() {
                 let inputs: Vec<Vec<u8>> = (0..p).map(|r| payload(r, n)).collect();
                 let expect = expected_outputs(op, args.root, args.dtype, args.rop, &inputs)
                     .expect("reference computes");
-                let plans = lower_all(&args, p, n);
+                let plans: Vec<_> = lower_all(&args, p, n).iter().map(compile).collect();
                 let got = run_ranks(p, |c| {
-                    execute_schedule(c, &plans[c.rank()], &inputs[c.rank()])
+                    Executor::new().run(c, &plans[c.rank()], &inputs[c.rank()])
                 });
                 for r in 0..p {
                     assert_eq!(got[r], expect[r], "{op} / {alg} p={p} rank={r}");
