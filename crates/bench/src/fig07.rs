@@ -60,13 +60,6 @@ pub fn panel(machine: &Machine, sizes: &[usize]) -> Table {
         }
         let mut cells = vec![label.to_string()];
         for &n in sizes {
-            // OSU reports *per-rank* sizes for allgather; cap them so the
-            // p·n result vectors stay reasonable at 1024 ranks.
-            let n = if op == CollectiveOp::Allgather {
-                n.min(64 * 1024)
-            } else {
-                n
-            };
             let tg = latency(machine, op, general, n).expect("general simulates");
             let tb = latency(machine, op, base, n).expect("base simulates");
             cells.push(format!("{:.3}", tg / tb));

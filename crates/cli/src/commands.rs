@@ -62,10 +62,28 @@ opt:      --opt takes none|pipeline|aggregate (comma-separated, aliases
 counts:   --counts takes one byte count per rank (4K,0,64,...) and selects
           the irregular (\"v\") variant; allgather/reduce_scatter only";
 
+/// Why a command line failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// The invocation itself is malformed (unknown subcommand, unparsable
+    /// arguments): worth showing [`USAGE`].
+    Usage(String),
+    /// The subcommand ran and failed; its message stands alone.
+    Failed(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(e) | CliError::Failed(e) => f.write_str(e),
+        }
+    }
+}
+
 /// Dispatch `argv` to a subcommand.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
-    match args.command.as_str() {
+pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
+    let args = Args::parse(argv).map_err(CliError::Usage)?;
+    let result = match args.command.as_str() {
         "sweep" => sweep(&args),
         "radix" => radix(&args),
         "time" => time(&args),
@@ -83,8 +101,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             table1();
             Ok(())
         }
-        other => Err(format!("unknown subcommand `{other}`")),
-    }
+        other => return Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    };
+    result.map_err(CliError::Failed)
 }
 
 /// Best algorithm per message size, with vendor comparison.
@@ -1119,7 +1138,7 @@ mod tests {
 
     fn run(s: &str) -> Result<(), String> {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-        dispatch(&argv)
+        dispatch(&argv).map_err(|e| e.to_string())
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Machines are the simulated presets of `exacoll-sim`; all latencies are
 //! virtual microseconds.
 
-use exacoll_cli::commands;
+use exacoll_cli::commands::{self, CliError};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -22,8 +22,10 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
+            if let CliError::Usage(_) = e {
+                eprintln!();
+                eprintln!("{}", commands::USAGE);
+            }
             ExitCode::FAILURE
         }
     }

@@ -5,7 +5,7 @@ use exacoll_cli::commands::dispatch;
 
 fn run(s: &str) -> Result<(), String> {
     let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-    dispatch(&argv)
+    dispatch(&argv).map_err(|e| e.to_string())
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {

@@ -45,6 +45,14 @@ pub enum CommError {
         /// The unreachable peer.
         peer: Rank,
     },
+    /// A payload larger than the transport can carry in one message. The
+    /// peer is alive; nothing was sent.
+    MessageTooLarge {
+        /// Payload size in bytes.
+        bytes: usize,
+        /// The transport's per-message limit in bytes.
+        limit: usize,
+    },
     /// A reduction was attempted with an operator undefined for the datatype.
     UnsupportedReduction {
         /// The operator.
@@ -128,6 +136,10 @@ impl fmt::Display for CommError {
                 write!(f, "unknown or already-completed request handle {handle}")
             }
             CommError::PeerGone { peer } => write!(f, "peer rank {peer} is gone"),
+            CommError::MessageTooLarge { bytes, limit } => write!(
+                f,
+                "message of {bytes} B exceeds the transport's {limit} B per-message limit"
+            ),
             CommError::UnsupportedReduction { op, dtype } => {
                 write!(f, "reduction {op} is undefined for datatype {dtype}")
             }

@@ -18,6 +18,8 @@
 //!   operation schedule (sends, receives, waits, reduction compute) as a
 //!   [`RankTrace`]. The `exacoll-sim` crate replays these traces on a
 //!   discrete-event model of an exascale machine to produce virtual time.
+//!   Production pricing reads traces off compiled plans instead; the
+//!   recorder is their test oracle and the tool for hand-written traces.
 //!
 //! Because the collective algorithms' control flow depends only on
 //! `(rank, size, radix, message size)` — never on received data — a trace
@@ -40,7 +42,7 @@ pub use comm::{Comm, Req};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultComm, FaultEvent, FaultPlan, KillSpec};
 pub use record::{fnv1a, RecordComm, RecordedEvent};
-pub use reduce_ops::reduce_into;
+pub use reduce_ops::{check_reduction, reduce_into};
 pub use sg::SgView;
 pub use thread_rt::{
     run_ranks, try_run_ranks, try_run_ranks_with, AbortHandle, ThreadComm, ThreadWorld,

@@ -124,6 +124,26 @@ macro_rules! reduce_bitwise {
     }};
 }
 
+/// [`reduce_into`]'s checks, on operand lengths alone: a reduction can be
+/// validated without its bytes.
+pub fn check_reduction(
+    dtype: DType,
+    op: ReduceOp,
+    acc_len: usize,
+    src_len: usize,
+) -> CommResult<()> {
+    if !op.supports(dtype) {
+        return Err(CommError::UnsupportedReduction { op, dtype });
+    }
+    if acc_len != src_len || !acc_len.is_multiple_of(dtype.size()) {
+        return Err(CommError::MisalignedBuffer {
+            len: if acc_len != src_len { src_len } else { acc_len },
+            dtype,
+        });
+    }
+    Ok(())
+}
+
 /// Combine `src` into `acc` elementwise: `acc[i] = op(acc[i], src[i])`.
 ///
 /// Both buffers must have the same length and that length must be a whole
@@ -135,19 +155,7 @@ macro_rules! reduce_bitwise {
 /// * [`CommError::MisalignedBuffer`] if lengths differ or are not a multiple
 ///   of the element size.
 pub fn reduce_into(dtype: DType, op: ReduceOp, acc: &mut [u8], src: &[u8]) -> CommResult<()> {
-    if !op.supports(dtype) {
-        return Err(CommError::UnsupportedReduction { op, dtype });
-    }
-    if acc.len() != src.len() || !acc.len().is_multiple_of(dtype.size()) {
-        return Err(CommError::MisalignedBuffer {
-            len: if acc.len() != src.len() {
-                src.len()
-            } else {
-                acc.len()
-            },
-            dtype,
-        });
-    }
+    check_reduction(dtype, op, acc.len(), src.len())?;
     match op {
         ReduceOp::BAnd | ReduceOp::BOr | ReduceOp::BXor => reduce_bitwise!(acc, src, op),
         _ => {

@@ -1,13 +1,21 @@
 //! Trace recording backend: captures each rank's operation schedule for
 //! replay on the discrete-event simulator.
 //!
-//! The trace is the bridge between "algorithms as executable code" and
-//! "algorithms as timed schedules". A [`TraceComm`] implements [`Comm`] but
-//! performs no real communication: sends record their destination and size,
-//! receives return zero-filled dummy payloads, waits record completion
-//! dependencies, and `compute` records reduction work. Collective control
-//! flow never depends on payload contents, so the recorded schedule is
-//! exactly what the threaded backend executes.
+//! A [`RankTrace`] is the bridge between "algorithms as executable code"
+//! and "algorithms as timed schedules". Production pricing never runs a
+//! plan to get one: `CompiledSchedule::to_trace` in `exacoll-core` reads
+//! the trace straight off the compiled step stream, in time linear in the
+//! number of steps and independent of message sizes.
+//!
+//! A [`TraceComm`] implements [`Comm`] but performs no real communication:
+//! sends record their destination and size, receives return zero-filled
+//! dummy payloads, waits record completion dependencies, and `compute`
+//! records reduction work. It has two remaining jobs:
+//!
+//! * the test oracle for that byte-free walk — the executor run over a
+//!   `TraceComm` on zero input must record exactly the walk's trace;
+//! * hand-written traces for simulator tests, via [`record_traces`] over
+//!   closures that call [`Comm`] directly.
 
 use crate::comm::{Comm, Req};
 use crate::error::{CommError, CommResult};
@@ -181,20 +189,6 @@ impl Comm for TraceComm {
         Ok(Req(self.ops.len() - 1))
     }
 
-    fn send_sg(&mut self, to: Rank, tag: Tag, view: crate::sg::SgView<'_>) -> CommResult<Req> {
-        // The trace records message *sizes*, never payload bytes, so the
-        // scatter-gather view needs no gathering at all — the recorded op
-        // is identical to `isend(to, tag, view.to_vec())` without the copy.
-        self.check_rank(to)?;
-        self.ops.push(TraceOp::Send {
-            to,
-            tag,
-            bytes: view.len() as u64,
-        });
-        self.outstanding.insert(self.ops.len() - 1);
-        Ok(Req(self.ops.len() - 1))
-    }
-
     fn irecv(&mut self, from: Rank, tag: Tag, bytes: usize) -> CommResult<Req> {
         self.check_rank(from)?;
         self.ops.push(TraceOp::Recv {
@@ -223,7 +217,7 @@ impl Comm for TraceComm {
             if !self.outstanding.remove(&idx) {
                 return Err(CommError::UnknownRequest { handle: idx });
             }
-            indices.push(idx as u32);
+            indices.push(u32::try_from(idx).expect("trace op index exceeds u32"));
         }
         self.ops.push(TraceOp::WaitAll { reqs: indices });
         Ok(results)

@@ -22,15 +22,16 @@
 //! [`Executor::run`] therefore does no overlap scans, no per-flush unzip
 //! into parallel `Vec`s (the receive-destination arena is persistent and
 //! reused), and no payload gathering on sends — payloads go out as borrowed
-//! [`SgView`]s via [`Comm::send_sg`]. Live backends, the trace recorder
-//! ([`CompiledSchedule::to_trace`]) and the single-threaded
-//! [`world`](super::world) evaluator all run plans through it, so the op
-//! stream that is priced, replayed and verified is the one that runs.
+//! [`SgView`]s via [`Comm::send_sg`]. Live backends and the single-threaded
+//! [`world`](super::world) evaluator run plans through it.
+//! Pricing does not run plans: static flushes make the executor's op
+//! stream a pure function of the steps, and [`CompiledSchedule::to_trace`]
+//! reads it off them in O(steps), whatever the message sizes.
 
 use super::{ComputeKind, Schedule, Step};
 use exacoll_comm::{
-    reduce_into, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp, Req, SgView, Tag,
-    TraceComm,
+    check_reduction, reduce_into, Comm, CommError, CommResult, DType, Rank, RankTrace, ReduceOp,
+    Req, SgView, Tag, TraceOp,
 };
 use std::ops::Range;
 
@@ -146,17 +147,74 @@ impl CompiledSchedule {
         &self.ranges[span.start as usize..(span.start + span.count) as usize]
     }
 
-    /// Run the plan on the trace recorder with zero input bytes, yielding
-    /// the rank's [`RankTrace`] for discrete-event simulation — the op
-    /// stream a live backend sees, since control flow never depends on
-    /// payload contents.
+    /// The rank's [`RankTrace`] for discrete-event simulation: the op stream
+    /// [`Executor::run`] issues, read off the steps without running them.
+    /// `Send`/`Recv` record their span's bytes and join the pending
+    /// requests, `Flush` is a `WaitAll` over them, `Reduce` is a `Compute`
+    /// of `dst.bytes()`, `Mark` passes through and `Copy` records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the rank, where the executor would refuse: a peer
+    /// `>= p`, a reduction its dtype or operand lengths do not allow, or a
+    /// request still pending at the end.
     pub fn to_trace(&self) -> RankTrace {
-        let mut c = TraceComm::new(self.rank, self.p);
-        let zeros = vec![0u8; self.input_bytes()];
-        Executor::new()
-            .run(&mut c, self, &zeros)
-            .unwrap_or_else(|e| panic!("compiled replay failed on rank {}: {e}", self.rank));
-        c.finish()
+        let rank = self.rank;
+        let refuse = |e: CommError| -> ! { panic!("compiled replay failed on rank {rank}: {e}") };
+        let mut ops = Vec::with_capacity(self.steps.len());
+        let mut pending: Vec<u32> = Vec::new();
+        for step in self.steps() {
+            let op = match *step {
+                CStep::Flush => TraceOp::WaitAll {
+                    reqs: std::mem::take(&mut pending),
+                },
+                CStep::Mark { label, round } => TraceOp::Mark { label, round },
+                CStep::Send { to, tag, src } => TraceOp::Send {
+                    to,
+                    tag,
+                    bytes: src.bytes() as u64,
+                },
+                CStep::Recv { from, tag, dst } => TraceOp::Recv {
+                    from,
+                    tag,
+                    bytes: dst.bytes() as u64,
+                },
+                CStep::Copy { .. } => continue,
+                CStep::Reduce {
+                    dtype,
+                    op,
+                    src,
+                    dst,
+                } => {
+                    check_reduction(dtype, op, dst.bytes(), src.bytes())
+                        .unwrap_or_else(|e| refuse(e));
+                    TraceOp::Compute {
+                        bytes: dst.bytes() as u64,
+                    }
+                }
+            };
+            if let TraceOp::Send { to: peer, .. } | TraceOp::Recv { from: peer, .. } = op {
+                if peer >= self.p {
+                    refuse(CommError::InvalidRank {
+                        rank: peer,
+                        size: self.p,
+                    });
+                }
+                pending.push(u32::try_from(ops.len()).unwrap_or_else(|_| {
+                    panic!("rank {rank}: trace op index {} exceeds u32", ops.len())
+                }));
+            }
+            ops.push(op);
+        }
+        assert!(
+            pending.is_empty(),
+            "rank {rank} leaked unwaited requests: ops {pending:?}"
+        );
+        RankTrace {
+            rank,
+            size: self.p,
+            ops,
+        }
     }
 }
 
@@ -481,7 +539,7 @@ impl Executor {
 mod tests {
     use super::super::{ScheduleBuilder, SgList};
     use super::*;
-    use exacoll_comm::{run_ranks, ReduceOp, TraceOp};
+    use exacoll_comm::{run_ranks, ReduceOp, TraceComm};
 
     fn swap_schedule(p: usize, rank: usize, n: usize) -> Schedule {
         let mut b = ScheduleBuilder::new(p, rank);
@@ -681,6 +739,109 @@ mod tests {
         };
         assert_eq!(dst.bytes(), big);
         assert_eq!(plan.output_bytes(), big);
+    }
+
+    /// A hand-built plan over `ranges` for rank 0 of `p`, with a scratch
+    /// buffer just covering them: `compile` never emits the refused shapes
+    /// below, so they are assembled directly.
+    fn raw(p: usize, ranges: Vec<Range<usize>>, steps: Vec<CStep>) -> CompiledSchedule {
+        let empty = Span {
+            start: 0,
+            count: 0,
+            bytes: 0,
+        };
+        CompiledSchedule {
+            p,
+            rank: 0,
+            buf_len: ranges.iter().map(|r| r.end).max().unwrap_or(0),
+            input: empty,
+            output: empty,
+            ranges: ranges.into(),
+            steps: steps.into(),
+        }
+    }
+
+    /// The span of the single range at arena index `i`.
+    fn one(plan_ranges: &[Range<usize>], i: u32) -> Span {
+        Span {
+            start: i,
+            count: 1,
+            bytes: plan_ranges[i as usize].len(),
+        }
+    }
+
+    #[test]
+    fn byte_free_trace_refuses_what_the_executor_refuses() {
+        let rs = vec![0..8, 8..16, 16..20, 20..26];
+        let reduce = |dtype, op, src, dst| CStep::Reduce {
+            dtype,
+            op,
+            src: one(&rs, src),
+            dst: one(&rs, dst),
+        };
+        let send = |to| CStep::Send {
+            to,
+            tag: 0,
+            src: one(&rs, 0),
+        };
+        let cases = [
+            (
+                "peer >= p (send)",
+                raw(2, rs.clone(), vec![send(2), CStep::Flush]),
+            ),
+            (
+                "peer >= p (recv)",
+                raw(
+                    2,
+                    rs.clone(),
+                    vec![
+                        CStep::Recv {
+                            from: 5,
+                            tag: 0,
+                            dst: one(&rs, 0),
+                        },
+                        CStep::Flush,
+                    ],
+                ),
+            ),
+            (
+                "operator unsupported for dtype",
+                raw(
+                    1,
+                    rs.clone(),
+                    vec![reduce(DType::F64, ReduceOp::BXor, 0, 1)],
+                ),
+            ),
+            (
+                "operand lengths differ",
+                raw(1, rs.clone(), vec![reduce(DType::U8, ReduceOp::Sum, 0, 2)]),
+            ),
+            (
+                "operands not whole elements",
+                raw(1, rs.clone(), vec![reduce(DType::F64, ReduceOp::Sum, 3, 3)]),
+            ),
+            (
+                "request pending at the end",
+                raw(2, rs.clone(), vec![send(1)]),
+            ),
+        ];
+        for (what, plan) in cases {
+            let walked = std::panic::catch_unwind(|| plan.to_trace())
+                .expect_err(&format!("{what}: the walk must refuse"));
+            let msg = walked.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("rank 0"),
+                "{what}: panic names the rank: {msg}"
+            );
+            let executed = std::panic::catch_unwind(|| {
+                let mut c = TraceComm::new(0, plan.p);
+                Executor::new().run(&mut c, &plan, &[]).map(|_| c.finish())
+            });
+            assert!(
+                !matches!(executed, Ok(Ok(_))),
+                "{what}: the executor accepted what the walk refused"
+            );
+        }
     }
 
     #[test]

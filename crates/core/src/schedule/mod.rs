@@ -13,10 +13,11 @@
 //! plan into a [`CompiledSchedule`] and the [`Executor`] runs it. Every
 //! consumer goes through that pair:
 //! * live backends run it with [`Executor::run`],
-//! * [`Schedule::to_trace`] runs it on the trace recorder for the
-//!   discrete-event simulator (`exacoll-sim`),
 //! * [`world`] runs a whole plan set single-threaded over an in-memory
-//!   network — the byte-identity oracle of the optimizer and replay.
+//!   network — the byte-identity oracle of the optimizer and replay,
+//! * [`Schedule::to_trace`] reads the op stream the executor would issue
+//!   off the compiled steps, without running them, for the
+//!   discrete-event simulator (`exacoll-sim`).
 //!
 //! Two checks stand outside it as independent oracles: [`verify`]
 //! statically checks matching, tags, and data flow (and
@@ -214,10 +215,10 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Run the plan on the trace recorder, yielding the rank's
-    /// [`RankTrace`] for discrete-event simulation: [`compile`] plus
-    /// [`CompiledSchedule::to_trace`], so the recorded op sequence is — by
-    /// construction — what [`Executor::run`] performs on a live backend.
+    /// The rank's [`RankTrace`] for discrete-event simulation: [`compile`]
+    /// plus [`CompiledSchedule::to_trace`], which reads the op sequence
+    /// [`Executor::run`] performs off the compiled steps without running
+    /// them.
     pub fn to_trace(&self) -> RankTrace {
         compile(self).to_trace()
     }

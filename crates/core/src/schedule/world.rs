@@ -4,8 +4,8 @@
 //! thread, over a private in-memory [`Loopback`] transport. Sends are
 //! eager; a rank stops before any [`CStep::Flush`](super::compiled::CStep::Flush)
 //! whose receives have not all arrived, and resumes on a later pass. The
-//! executor is the one live backends and the trace recorder use, so the
-//! world computes exactly what a live run computes — the optimizer's
+//! executor is the one live backends use, so the world computes exactly
+//! what a live run computes — the optimizer's
 //! byte-identity gate, the `verify` sweeps and replay's expected side all
 //! evaluate through it.
 //!

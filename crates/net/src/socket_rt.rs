@@ -36,7 +36,7 @@ use crate::bootstrap::{
 };
 use crate::wire::{
     read_frame, write_frame, write_frame_parts, Frame, KIND_ABORT, KIND_GONE, KIND_HELLO,
-    KIND_IDENT, KIND_MSG, KIND_TABLE,
+    KIND_IDENT, KIND_MSG, KIND_TABLE, MAX_FRAME_PAYLOAD,
 };
 use exacoll_comm::{Comm, CommError, CommResult, Rank, Req, SgView, Tag};
 use std::collections::VecDeque;
@@ -369,6 +369,18 @@ impl Drop for SocketComm {
     }
 }
 
+/// Refuse a payload one frame cannot carry, before anything reaches the
+/// stream: the peer is fine, so this must not read as [`CommError::PeerGone`].
+fn check_frame_len(bytes: usize) -> CommResult<()> {
+    if bytes > MAX_FRAME_PAYLOAD {
+        return Err(CommError::MessageTooLarge {
+            bytes,
+            limit: MAX_FRAME_PAYLOAD,
+        });
+    }
+    Ok(())
+}
+
 impl Comm for SocketComm {
     fn rank(&self) -> Rank {
         self.rank
@@ -388,6 +400,7 @@ impl Comm for SocketComm {
             drop(st);
             self.inbox.cv.notify_all();
         } else {
+            check_frame_len(data.len())?;
             if self.inbox.lock().gone[to] {
                 return Err(CommError::PeerGone { peer: to });
             }
@@ -415,6 +428,7 @@ impl Comm for SocketComm {
             drop(st);
             self.inbox.cv.notify_all();
         } else {
+            check_frame_len(view.len())?;
             if self.inbox.lock().gone[to] {
                 return Err(CommError::PeerGone { peer: to });
             }
@@ -880,6 +894,35 @@ mod tests {
         let mut expect: Vec<u8> = (40..64).collect();
         expect.extend(0..16);
         assert_eq!(out[1], expect);
+    }
+
+    #[test]
+    fn oversized_send_is_message_too_large_and_the_peer_stays_alive() {
+        let out = run_socket_ranks(2, |c| {
+            if c.rank() == 0 {
+                // 1025 views of one 1 MiB slice: one MiB allocated, one MiB
+                // over the frame limit.
+                let mib = vec![7u8; 1 << 20];
+                let ranges = vec![0..mib.len(); (MAX_FRAME_PAYLOAD >> 20) + 1];
+                let err = c.send_sg(1, 4, SgView::new(&mib, &ranges)).unwrap_err();
+                assert_eq!(
+                    err,
+                    CommError::MessageTooLarge {
+                        bytes: MAX_FRAME_PAYLOAD + (1 << 20),
+                        limit: MAX_FRAME_PAYLOAD,
+                    }
+                );
+                c.send(1, 4, vec![1, 2, 3])?;
+                Ok(vec![])
+            } else {
+                c.recv(0, 4, 3)
+            }
+        });
+        assert_eq!(
+            out[1],
+            vec![1, 2, 3],
+            "the refused send must not poison the link"
+        );
     }
 
     #[test]

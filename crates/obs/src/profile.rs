@@ -1,9 +1,9 @@
 //! End-to-end profiling: run one collective under instrumentation on either
 //! backend and return its rank timelines.
 //!
-//! * [`profile_sim`] records the schedule with `TraceComm`, replays it on
-//!   the discrete-event simulator, and converts the per-op virtual timings
-//!   into timelines.
+//! * [`profile_sim`] reads each rank's trace off its compiled plan, replays
+//!   the traces on the discrete-event simulator, and converts the per-op
+//!   virtual timings into timelines.
 //! * [`profile_thread`] runs the collective for real on the threaded
 //!   runtime, each rank wrapped in a [`TimedComm`] sharing one epoch.
 //!
@@ -11,10 +11,10 @@
 //! exporter, critical-path walker, and residual analyzer apply uniformly.
 
 use crate::timeline::{makespan_ns, timelines_from_sim, RankTimeline, TimedComm};
-use exacoll_comm::{record_traces, try_run_ranks, Comm, ThreadComm};
+use exacoll_comm::{try_run_ranks, Comm, ThreadComm};
 use exacoll_core::schedule::{CompiledSchedule, Executor};
 use exacoll_core::spec::{OptSpec, OPT_AGGREGATE_MAX_FUSE_BYTES, OPT_PIPELINE_CHUNK_BYTES};
-use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp};
+use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
 use exacoll_models::NetParams;
 use exacoll_opt::cached_world;
 use exacoll_sim::{simulate_timed, Machine};
@@ -34,8 +34,7 @@ pub struct ProfileSpec {
     /// Requested per-rank payload bytes (adjusted via [`ProfileSpec::input_len`]).
     pub size: usize,
     /// Optimizer passes to apply to the lowered plan before running. With
-    /// [`OptSpec::NONE`] the collective executes through the stock
-    /// lowering path, byte-identically to pre-optimizer profiles.
+    /// [`OptSpec::NONE`] the plans are the stock lowering.
     pub opt: OptSpec,
     /// Pipelining chunk threshold (defaults to
     /// [`OPT_PIPELINE_CHUNK_BYTES`]).
@@ -143,24 +142,15 @@ pub fn payload(rank: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Profile on the simulator: record, replay, convert virtual timings. With
-/// optimizer passes enabled the recorded traces come from the rewritten
-/// per-rank plans instead of the stock lowering.
+/// Profile on the simulator: read every rank's trace off its compiled plan
+/// (with the spec's optimizer passes applied), replay, convert virtual
+/// timings.
 pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
-    let p = spec.ranks();
-    let args = spec.args();
-    let len = spec.input_len();
-    let traces = if spec.opt.is_none() {
-        record_traces(p, |c| {
-            let input = payload(c.rank(), len);
-            execute(c, &args, &input).map(|_| ())
-        })
-    } else {
-        spec.optimized_plans()?
-            .iter()
-            .map(|s| s.to_trace())
-            .collect()
-    };
+    let traces: Vec<_> = spec
+        .optimized_plans()?
+        .iter()
+        .map(|s| s.to_trace())
+        .collect();
     let (outcome, timings) =
         simulate_timed(&spec.machine, &traces).map_err(|e| format!("replay failed: {e}"))?;
     let timelines = timelines_from_sim(&traces, &timings);
@@ -176,25 +166,17 @@ pub fn profile_sim(spec: &ProfileSpec) -> Result<BackendRun, String> {
 /// `t = 0`.
 pub fn profile_thread(spec: &ProfileSpec) -> Result<BackendRun, String> {
     let p = spec.ranks();
-    let args = spec.args();
     let len = spec.input_len();
-    let plans = if spec.opt.is_none() {
-        None
-    } else {
-        Some(spec.optimized_plans()?)
-    };
+    let plans = spec.optimized_plans()?;
     let epoch = Instant::now();
     let slots: Mutex<Vec<Option<RankTimeline>>> = Mutex::new(vec![None; p]);
     let results = try_run_ranks(p, |c: &mut ThreadComm| {
         let rank = c.rank();
         let input = payload(rank, len);
         let mut tc = TimedComm::with_epoch(&mut *c, epoch);
-        let res = match &plans {
-            None => execute(&mut tc, &args, &input).map(|_| ()),
-            Some(plans) => Executor::new()
-                .run(&mut tc, &plans[rank], &input)
-                .map(|_| ()),
-        };
+        let res = Executor::new()
+            .run(&mut tc, &plans[rank], &input)
+            .map(|_| ());
         let (_, timeline) = tc.into_parts();
         slots.lock().expect("timeline collector")[rank] = Some(timeline);
         res

@@ -1,11 +1,12 @@
-//! Trace-record-then-replay measurement of one collective on a machine.
+//! Lower-then-price measurement of one collective on a machine.
 
-use exacoll_comm::{record_traces, DType, RankTrace, ReduceOp};
-use exacoll_core::{execute, Algorithm, CollArgs, CollectiveOp};
+use exacoll_comm::{DType, RankTrace, ReduceOp};
+use exacoll_core::registry::lower;
+use exacoll_core::{Algorithm, CollArgs, CollectiveOp};
 use exacoll_sim::{simulate, Machine, ReplayError, SimOutcome, SimTime};
 
-/// Record the operation schedule of `alg` running `op` with `n`-byte
-/// per-rank payloads on `p` ranks.
+/// The operation schedule of `alg` running `op` with `n`-byte per-rank
+/// payloads on `p` ranks, read off each rank's lowered plan.
 ///
 /// `n` follows OSU conventions: it is the per-rank message size (the full
 /// payload for bcast/reduce/allreduce, the per-rank block for
@@ -24,18 +25,19 @@ pub fn record_collective(
         dtype: DType::F64,
         rop: ReduceOp::Sum,
     };
-    // Timing only depends on sizes; use a zero payload. Keep n a multiple
-    // of 8 (f64) by padding down — OSU sizes are all multiples. For
-    // alltoall, OSU's message size is per destination pair, so the input
-    // holds p blocks of n bytes.
+    // Keep n a multiple of 8 (f64) by padding down — OSU sizes are all
+    // multiples. For alltoall, OSU's message size is per destination pair,
+    // so the input holds p blocks of n bytes.
     let n = if n >= 8 { n - n % 8 } else { n };
     let bytes = if op == CollectiveOp::Alltoall {
         n * p
     } else {
         n
     };
-    let input = vec![0u8; bytes];
-    record_traces(p, |c| execute(c, &args, &input).map(|_| ()))
+    // One rank at a time, so only one lowered plan is alive at once.
+    (0..p)
+        .map(|rank| lower(&args, p, rank, bytes).to_trace())
+        .collect()
 }
 
 /// Measure `alg` running `op` on `machine`: trace + replay, full outcome.
@@ -58,18 +60,6 @@ pub fn latency(
     n: usize,
 ) -> Result<SimTime, ReplayError> {
     measure(machine, op, alg, n, 0).map(|o| o.makespan)
-}
-
-/// Convenience wrapper returning the virtual completion time of a
-/// collective (the quickstart entry point used in the README).
-pub fn run_collective_timed(
-    machine: &Machine,
-    op: CollectiveOp,
-    alg: Algorithm,
-    n: usize,
-    root: usize,
-) -> Result<SimTime, ReplayError> {
-    measure(machine, op, alg, n, root).map(|o| o.makespan)
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! question ("what does radix tuning buy an application?") can be answered
 //! directly.
 
-use crate::measure::record_collective;
+use crate::measure::latency;
 use exacoll_core::{Algorithm, CollectiveOp};
-use exacoll_sim::{simulate, Machine, ReplayError, SimTime};
+use exacoll_sim::{Machine, ReplayError, SimTime};
 
 /// One collective invocation in an application's communication mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +116,7 @@ impl Workload {
         let mut total = SimTime::ZERO;
         for step in &self.steps {
             let alg = select(step.op, step.bytes);
-            let traces = record_collective(machine.ranks(), step.op, alg, step.bytes, 0);
-            let t = simulate(machine, &traces)?.makespan;
-            total += t * step.count as f64;
+            total += latency(machine, step.op, alg, step.bytes)? * step.count as f64;
         }
         Ok(total)
     }

@@ -1,13 +1,12 @@
 //! Direct schedule costing: simulate a lowered [`Schedule`] set without
-//! running it on a live backend first.
+//! running it on any backend.
 //!
 //! `exacoll_core::registry::lower` produces every rank's communication plan;
-//! [`cost`] runs those plans on the trace recorder (via
-//! [`Schedule::to_trace`], which compiles each plan and runs it on the same
-//! `Executor` live backends use, over a `TraceComm`) and feeds the result
-//! to the discrete-event simulator. The op stream being simulated is
-//! therefore — by construction — exactly the op stream a live run would
-//! issue, with no threads.
+//! [`cost`] reads each plan's op stream off its compiled steps (via
+//! [`Schedule::to_trace`]: compile, then walk the steps — no `Comm`, no
+//! executor, no payload bytes) and feeds the traces to the discrete-event
+//! simulator. The walk yields exactly the op stream the `Executor` issues
+//! on a live backend, so pricing a 4 MiB plan costs the same as an 8 B one.
 
 use crate::machine::Machine;
 use crate::replay::{simulate, ReplayError, SimOutcome};

@@ -38,20 +38,21 @@
 //!
 //! ```
 //! use exacoll::collectives::{Algorithm, CollectiveOp};
-//! use exacoll::osu::run_collective_timed;
+//! use exacoll::osu::measure;
 //! use exacoll::sim::Machine;
 //!
 //! // Time a k-nomial (radix 8) broadcast of 1 KiB across a simulated
 //! // 128-node Frontier partition, one rank per node.
 //! let machine = Machine::frontier(128, 1);
-//! let t = run_collective_timed(
+//! let t = measure(
 //!     &machine,
 //!     CollectiveOp::Bcast,
 //!     Algorithm::KnomialTree { k: 8 },
 //!     1024,
 //!     0,
 //! )
-//! .unwrap();
+//! .unwrap()
+//! .makespan;
 //! assert!(t.as_micros() > 0.0);
 //! ```
 

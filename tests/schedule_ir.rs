@@ -13,16 +13,23 @@
 //!    sequential reference byte for byte.
 //! 3. **Analytical utility** — the verifier's α/β/γ term counts price into
 //!    a finite positive prediction, and direct IR costing agrees with
-//!    simulating a recorded live run.
+//!    simulating a recorded live run. The byte-free trace every price is
+//!    read from equals the trace of executing the plan, over the whole
+//!    registry grid.
 
 use exacoll::collectives::reference::expected_outputs;
-use exacoll::collectives::registry::{candidates, lower, unique_candidates};
+use exacoll::collectives::registry::{
+    candidates, lower, lower_v, unique_candidates, unique_candidates_v,
+};
 use exacoll::collectives::schedule::verify::verify;
-use exacoll::collectives::schedule::{compile, Executor, Schedule};
+use exacoll::collectives::schedule::{compile, CompiledSchedule, Executor, Schedule};
+use exacoll::collectives::spec::OptSpec;
 use exacoll::collectives::{CollArgs, CollectiveOp};
-use exacoll::comm::{run_ranks, Comm};
+use exacoll::comm::{run_ranks, Comm, DType, RankTrace, TraceComm};
 use exacoll::models::{predict_from_stats, NetParams};
 use exacoll::obs::payload;
+use exacoll::opt::apply_opt_spec;
+use proptest::prelude::*;
 
 /// Per-rank input length for one grid case.
 fn input_len(op: CollectiveOp, p: usize, size: usize) -> usize {
@@ -140,5 +147,84 @@ fn direct_ir_costing_agrees_with_live_trace_simulation() {
         });
         let live = simulate(&machine, &traces).expect("trace replays");
         assert_eq!(direct.makespan, live.makespan, "{op} / {alg}");
+    }
+}
+
+/// The executed side of the byte-free trace oracle: run `plan` on the
+/// trace recorder over zero input.
+fn executed_trace(plan: &CompiledSchedule) -> RankTrace {
+    let mut c = TraceComm::new(plan.rank, plan.p);
+    Executor::new()
+        .run(&mut c, plan, &vec![0u8; plan.input_bytes()])
+        .unwrap_or_else(|e| panic!("rank {} executes: {e}", plan.rank));
+    c.finish()
+}
+
+/// Both sides of the oracle agree on every rank of `plans`, plain and
+/// under each optimizer pass; returns the number of plan sets compared.
+fn assert_traces_agree(label: &str, plans: &[Schedule]) -> usize {
+    let variants = [
+        ("", OptSpec::NONE),
+        ("@pipeline", OptSpec::PIPELINE),
+        (
+            "@aggregate",
+            OptSpec {
+                pipeline: false,
+                aggregate: true,
+            },
+        ),
+    ];
+    for (name, opt) in variants {
+        // Thresholds low enough to bite at the grid's small payloads.
+        let rewritten = apply_opt_spec(plans, &opt, 8, 64).expect("passes run");
+        for plan in rewritten.iter().map(compile) {
+            assert_eq!(
+                plan.to_trace(),
+                executed_trace(&plan),
+                "{label}{name} rank {}: byte-free trace differs from the executed one",
+                plan.rank
+            );
+        }
+    }
+    variants.len()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The byte-free walk is the only pricing route; it must record exactly
+    /// what the executor does on the trace recorder, for every candidate at
+    /// p ∈ {4, 6, 7, 8, 9}, k ≤ 4, in three dtypes, at uniform sizes and
+    /// over ragged count vectors with zero counts.
+    #[test]
+    fn byte_free_trace_equals_the_executed_trace(
+        elems in 0usize..5,
+        ragged in collection::vec(0usize..4, 9..10),
+    ) {
+        let mut cases = 0;
+        for p in [4usize, 6, 7, 8, 9] {
+            for dtype in [DType::U8, DType::I32, DType::F64] {
+                let n = elems * dtype.size();
+                for op in CollectiveOp::ALL {
+                    for alg in unique_candidates(op, p, 4) {
+                        let args = CollArgs { dtype, ..CollArgs::new(op, alg) };
+                        let plans = lower_all(&args, p, input_len(op, p, n));
+                        cases += assert_traces_agree(&format!("{op}/{alg} {dtype} p={p} n={n}"), &plans);
+                    }
+                }
+                // Element counts, scaled to bytes; a zero keeps every vector
+                // ragged even when the draw happens to be uniform.
+                let mut counts: Vec<usize> = ragged[..p].iter().map(|c| c * dtype.size()).collect();
+                counts[p / 2] = 0;
+                for op in [CollectiveOp::Allgather, CollectiveOp::ReduceScatter] {
+                    for alg in unique_candidates_v(op, 4, &counts) {
+                        let args = CollArgs { dtype, ..CollArgs::new(op, alg) };
+                        let plans: Vec<Schedule> = (0..p).map(|r| lower_v(&args, r, &counts)).collect();
+                        cases += assert_traces_agree(&format!("{op}v/{alg} {dtype} {counts:?}"), &plans);
+                    }
+                }
+            }
+        }
+        prop_assert!(cases > 1000, "grid should be dense, got {cases} plan sets");
     }
 }
